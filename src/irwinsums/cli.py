@@ -7,8 +7,8 @@ Subcommands mirror the library drivers: ``sum`` (full series), ``partial``
 grouped text, or JSON; diagnostics go to stderr.
 
 Exit codes: 0 success, 2 invalid input, 3 insufficient accuracy or threshold
-above the total, 4 digit cap reached before convergence, 5 enumeration
-budget exceeded.
+above the total, 5 enumeration budget exceeded.  Code 4 is not produced; it
+stays unassigned so that the other codes keep their numbers.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .summation import (
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_ACCURACY = 3
-EXIT_DIGIT_CAP = 4
 EXIT_BUDGET = 5
 
 
@@ -69,11 +68,6 @@ def _add_common(parser: argparse.ArgumentParser, *, decimals_default: int = 15) 
              "progress, 4 power-shrink detail (diagnostics on stderr)",
     )
     parser.add_argument("--output", help="also write the JSON report to this file")
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="worker processes for brute-force enumeration (oracle only; the "
-             "recurrence is inherently sequential)",
-    )
 
 
 def _add_conditions(parser: argparse.ArgumentParser) -> None:
@@ -133,6 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument(
         "--compare", action="store_true",
         help="also run the engine partial sum (limit must be a power of the base)",
+    )
+    p_oracle.add_argument(
+        "--threads", type=int, default=1,
+        help="worker processes for the brute-force enumeration",
     )
     _add_common(p_oracle)
     return parser
@@ -247,12 +245,6 @@ def _cmd_sum(args: argparse.Namespace) -> int:
     if args.format != "json":
         _print_sum_text(result, args.mode, args)
     _emit_report(_sum_report(result, args.mode), args)
-    if result.termination is Termination.DIGIT_CAP_REACHED:
-        print(
-            f"did not converge within {result.digits_processed} digit lengths",
-            file=sys.stderr,
-        )
-        return EXIT_DIGIT_CAP
     return EXIT_OK
 
 

@@ -233,9 +233,7 @@ class PrecisionPlan:
         if self.max_digit_length < self.direct_sum_digits + 1:
             raise ValueError("max_digit_length must exceed direct_sum_digits")
         object.__setattr__(self, "scale", 10 ** self.working_decimals)
-        assert self.tiny_cutoff_hard < self.tiny_cutoff_soft < Fraction(
-            1, 10 ** self.requested_decimals
-        )
+        assert self.tiny_cutoff_hard < Fraction(1, 10 ** self.requested_decimals)
 
     @property
     def guard_decimals(self) -> int:
@@ -246,18 +244,13 @@ class PrecisionPlan:
         """Below this, a single recurrence term is negligible."""
         return Fraction(1, 10 ** (2 * self.working_decimals))
 
-    @property
-    def tiny_cutoff_soft(self) -> Fraction:
-        """Below this, a whole digit-length block is negligible."""
-        return Fraction(1, 10 ** (self.working_decimals + 5))
-
 
 def clamp_decimals(requested_decimals: int) -> int:
     return max(int(requested_decimals), MIN_REQUESTED_DECIMALS)
 
 
 def default_max_digit_length(requested_decimals: int, max_count: int) -> int:
-    """Safety cap on the digit-length loop; normal runs stop on tiny terms.
+    """Bound on the digit lengths a threshold walk may take before giving up.
 
     Large occurrence counts push the mass of the series to long denominators,
     so the cap grows sixfold once any count exceeds 10.

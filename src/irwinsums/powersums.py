@@ -149,42 +149,12 @@ def _tail_below(a: int, b: int, power: int, decimals: int) -> bool:
     return total + count + (b - a + 1 - count) < 10 ** spare
 
 
-def _solve_tail_order(a: int, b: int, decimals: int) -> int:
-    """Continuous order c with integral(x**-c, a..b) = 10**-decimals.
-
-    Solved in log space by bisection; used only when the closed-form initial
-    guess misses the search window.
-    """
-    log_eps = -decimals * math.log(10)
-    ln_a, ln_b = math.log(a), math.log(b)
-
-    def log_integral(c: float) -> float:
-        # log of (a**(1-c) - b**(1-c)) / (c-1) for c > 1
-        return (1 - c) * ln_a + math.log1p(-math.exp((1 - c) * (ln_b - ln_a))) - math.log(c - 1)
-
-    lo = 1.0 + 1e-9
-    hi = 2.0
-    while log_integral(hi) > log_eps:
-        hi *= 2
-        if hi > 1e9:
-            raise EstimateFailed("tail-order bisection diverged")
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if log_integral(mid) > log_eps:
-            lo = mid
-        else:
-            hi = mid
-    return math.ceil(hi)
-
-
 def estimate_max_power(base: int, requested_decimals: int, direct_sum_digits: int) -> int:
     """Smallest power J (plus a margin of 2) whose tail over the last
     directly-summed block drops below 10**-requested_decimals.
 
     The initial guess ``ceil(log_base(10) * decimals / (direct_sum_digits - 1))``
-    is refined upward by direct evaluation; if no power up to 10x the guess
-    works, the order is re-estimated from the integral bound and the search
-    repeats once before giving up.
+    is refined upward by direct evaluation, up to 10x the guess.
     """
     if direct_sum_digits < 2:
         raise ValueError("direct_sum_digits must be >= 2")
@@ -194,12 +164,9 @@ def estimate_max_power(base: int, requested_decimals: int, direct_sum_digits: in
         math.log(10) / math.log(base) * requested_decimals / (direct_sum_digits - 1)
     )
     guess = max(guess, 1)
-    for attempt in range(2):
-        for power in range(guess, 10 * guess + 1):
-            if _tail_below(a, b, power, requested_decimals):
-                return power + 2
-        if attempt == 0:
-            guess = max(_solve_tail_order(a, b, requested_decimals), 1)
+    for power in range(guess, 10 * guess + 1):
+        if _tail_below(a, b, power, requested_decimals):
+            return power + 2
     raise EstimateFailed(
         f"no truncation order up to {10 * guess} bounds the tail below "
         f"10^-{requested_decimals}"

@@ -13,6 +13,11 @@ power sums.
 
 Coefficients are exact integers throughout; one fixed-point rounding happens
 per cell per power.
+
+The map from one digit length to the next does not depend on the length, so
+the power sums of every block from a seed on are the fixed point of
+z = s + T z, with s the seed table and T one step.  ``solve_tail`` finds it
+by back-substitution instead of walking the lengths one by one.
 """
 
 from __future__ import annotations
@@ -20,8 +25,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
-from .fixedpoint import div_toward_zero
+from .fixedpoint import div_nearest, div_toward_zero
 from .model import ConditionSet, PrecisionPlan, occurrence_vector
 from .powersums import PowerSumTable, digit_power_sum
 
@@ -51,6 +57,35 @@ def _decrement_slots(conditions: ConditionSet) -> tuple[tuple[tuple[int, int], .
             )
         )
     return tuple(table)
+
+
+def expansion_terms(
+    conditions: ConditionSet, j_active: int
+) -> Iterator[tuple[int, list[tuple[int, tuple[int, ...]]]]]:
+    """Integer expansion coefficients of one step, over the divisor base**j_active.
+
+    Yields ``(j, coeffs)`` for target powers j = j_active down to 1, one at a
+    time so that only one power's coefficients are alive.  ``coeffs[n]``
+    (0 <= n <= j_active - j) is the pair ``(w * bn[n], (w * d**n for each
+    constrained digit d))`` with ``w = (-1)**n * C(j+n-1, n) *
+    base**(j_active-j-n)`` and ``bn[n]`` the unconstrained digits' power sum:
+    folding base**(j_active-j-n) in lets a whole cell divide once by
+    base**j_active.
+    """
+    base = conditions.base
+    bn = [digit_power_sum(base, n, conditions) for n in range(j_active)]
+    dpow = [[d ** n for n in range(j_active)] for d in conditions.digits]
+    for j in range(j_active, 0, -1):
+        nmax = j_active - j
+        base_pow = base ** nmax
+        coeffs = []
+        for n in range(nmax + 1):
+            signed = math.comb(j + n - 1, n) * base_pow
+            if n & 1:
+                signed = -signed
+            coeffs.append((signed * bn[n], tuple(signed * row[n] for row in dpow)))
+            base_pow //= base
+        yield j, coeffs
 
 
 def shrink_active_powers(
@@ -99,9 +134,6 @@ def advance(
     rows_prev = table.rows
     neighbors = _decrement_slots(conditions)
 
-    bn = [digit_power_sum(base, n, conditions) for n in range(j_active)]
-    dpow = [[d ** n for n in range(j_active)] for d in conditions.digits]
-
     # Skip target cells whose sources are all zero; they stay exactly zero.
     col_nonzero = [
         any(rows_prev[j2][slot] for j2 in range(j_active)) for slot in range(cells)
@@ -116,24 +148,12 @@ def advance(
         max(max(row), -min(row)) if row else 0 for row in rows_prev[:j_active]
     ]
 
-    new_rows: list[list[int]] = []
-    per_power_max: list[Fraction] = []
-    for j in range(1, j_active + 1):
-        nmax = j_active - j
-        divisor = base ** (j + nmax)
-
-        # coeffs[n] = ((-1)^n * C(j+n-1, n) * base^(nmax-n)) * (bn, digit powers);
-        # folding base^(nmax-n) in lets the whole cell divide once by divisor.
-        coeffs: list[tuple[int, tuple[int, ...]]] = []
+    divisor = base ** j_active
+    new_rows: list[list[int]] = [[]] * j_active
+    per_power_max: list[Fraction] = [Fraction(0)] * j_active
+    for j, coeffs in expansion_terms(conditions, j_active):
         max_num = 0
-        base_pow = base ** nmax
-        for n in range(nmax + 1):
-            signed = math.comb(j + n - 1, n) * base_pow
-            if n & 1:
-                signed = -signed
-            k0 = signed * bn[n]
-            kcs = tuple(signed * dpow[c][n] for c in range(m))
-            coeffs.append((k0, kcs))
+        for n, (k0, kcs) in enumerate(coeffs):
             bound = abs(k0) * src_absmax[j - 1 + n]
             if bound > max_num:
                 max_num = bound
@@ -142,10 +162,9 @@ def advance(
                     bound = abs(kcs[c]) * src_absmax[j - 1 + n]
                     if bound > max_num:
                         max_num = bound
-            base_pow //= base
 
         row_new = [0] * cells
-        n_range = range(nmax + 1)
+        n_range = range(len(coeffs))
         jm1 = j - 1
         for slot in targets:
             s = 0
@@ -163,11 +182,51 @@ def advance(
                         if kc:
                             s += kc * tv2
             row_new[slot] = div_toward_zero(s, divisor)
-        new_rows.append(row_new)
-        per_power_max.append(Fraction(max_num, divisor * scale))
+        new_rows[j - 1] = row_new
+        per_power_max[j - 1] = Fraction(max_num, divisor * scale)
 
     next_table = PowerSumTable(
         conditions, table.digit_length + 1, j_active, scale, new_rows
     )
     max_term = max(per_power_max) if per_power_max else Fraction(0)
     return next_table, max_term, per_power_max
+
+
+def solve_tail(seed: PowerSumTable, conditions: ConditionSet) -> list[int]:
+    """Power-1 sums, per cell, of every block from the seed's digit length on.
+
+    Solves (I - T) Z = seed over all the seed's powers, where T is one
+    ``advance`` step without its rounding.  I - T is upper-triangular across
+    powers (the term for n reads power j + n) and, within one power,
+    lower-triangular in slot order (a decrement lowers the slot), so
+    back-substitution through powers J..1 and ascending slots reaches every
+    cell after the cells it reads.  The diagonal 1 - (base - m)/base**j,
+    scaled by base**J, is one integer denominator, so each cell costs one
+    rounding; none is carried from one digit length to the next, so rounding
+    to nearest is safe.
+    """
+    j_max = len(seed.rows)
+    cells = conditions.cell_count
+    neighbors = _decrement_slots(conditions)
+    scaled = conditions.base ** j_max
+    z = [[0] * cells for _ in range(j_max)]
+    for j, coeffs in expansion_terms(conditions, j_max):
+        # coeffs[0][0] * z[j - 1][slot] is the diagonal term; the cell is still
+        # 0 when its own sum reads it, and the diagonal moves into the divisor.
+        divisor = scaled - coeffs[0][0]
+        seed_row = seed.rows[j - 1]
+        sources = z[j - 1 :]
+        row = z[j - 1]
+        for slot in range(cells):
+            s = scaled * seed_row[slot]
+            nbr = neighbors[slot]
+            for src, (k0, kcs) in zip(sources, coeffs):
+                tv = src[slot]
+                if tv:
+                    s += k0 * tv
+                for c, s2 in nbr:
+                    tv2 = src[s2]
+                    if tv2:
+                        s += kcs[c] * tv2
+            row[slot] = div_nearest(s, divisor)
+    return z[0]

@@ -1,10 +1,11 @@
 """Top-level drivers: full sums, at-most sums, partial sums, thresholds.
 
 The engine walks digit lengths in order: blocks short enough to enumerate
-are summed directly, the last of them seeds the power-sum recurrence, and
-recurrence steps continue until the requested digit limit, the finite-series
-end, or convergence (two consecutive digit lengths whose block sums and
-largest terms are both negligible at working precision).
+are summed directly, and the last of them seeds the power-sum recurrence.
+Full sums of infinite series then solve for the sum of every block from the
+seed on in one back-substitution; partial sums, threshold walks and finite
+series step the recurrence until the requested digit limit, the threshold
+crossing, or the finite-series end.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .model import (
     direct_sum_digit_count,
 )
 from .powersums import direct_sum, estimate_max_power
-from .recurrence import advance, shrink_active_powers
+from .recurrence import advance, shrink_active_powers, solve_tail
 
 
 class Termination(str, enum.Enum):
@@ -35,7 +36,6 @@ class Termination(str, enum.Enum):
     CONVERGED = "Converged"
     FINITE_SERIES_EXHAUSTED = "FiniteSeriesExhausted"
     EMPTY_SERIES = "EmptySeries"
-    DIGIT_CAP_REACHED = "DigitCapReached"
     PARTIAL_REQUESTED = "PartialRequested"
 
 
@@ -106,6 +106,7 @@ class _RawResult:
     digits_processed: int
     termination: Termination
     crossing_digit: Optional[int] = None
+    before_crossing: int = 0
 
 
 def _quantized_fraction(mantissa: int, plan: PrecisionPlan) -> Fraction:
@@ -133,47 +134,46 @@ def _compute(
     if conditions.is_empty_series():
         return _RawResult(plan, 0, 0, per_cell, 0, Termination.EMPTY_SERIES)
 
+    seed_digit = plan.direct_sum_digits
     finite_end = (
         conditions.finite_digit_limit() if conditions.is_finite_series() else None
     )
-    limit = digit_limit if digit_limit is not None else plan.max_digit_length
+    # Full sums of infinite series enumerate up to the seed and solve for the
+    # rest; every other run walks the digit lengths it needs.
+    solve = digit_limit is None and threshold is None and finite_end is None
+    if digit_limit is not None:
+        limit = digit_limit
+    elif threshold is not None:
+        limit = plan.max_digit_length
+    else:
+        limit = seed_digit if solve else finite_end
     if finite_end is not None:
         limit = min(limit, finite_end)
 
-    seed_digit = plan.direct_sum_digits
     requested_total = 0
     at_most_total = 0
     target = conditions.cell_count - 1
     table = None
-    processed = 0
-    seen_nonzero = False
-    tiny_streak = 0
-    converged = False
     j_active = plan.max_power
 
     def absorb(block_rows: list[int]) -> int:
-        nonlocal requested_total, at_most_total, seen_nonzero
-        block = block_rows[target]
-        requested_total += block
+        nonlocal requested_total, at_most_total
+        requested_total += block_rows[target]
         at_most_total += sum(block_rows)
         for slot, value in enumerate(block_rows):
             per_cell[slot] += value
-        if block > 0:
-            seen_nonzero = True
-        return block
+        return block_rows[target]
 
     for i in range(1, limit + 1):
         if i <= seed_digit:
-            powers = plan.max_power if (i == seed_digit and limit > seed_digit) else 1
-            table = direct_sum(conditions, i, powers, plan)
-            block = absorb(table.rows[0])
-            max_term = None
+            seeds = i == seed_digit and (solve or limit > seed_digit)
+            table = direct_sum(conditions, i, plan.max_power if seeds else 1, plan)
         else:
-            table, max_term, per_power = advance(table, conditions, j_active, plan)
-            block = absorb(table.rows[0])
+            table, _, per_power = advance(table, conditions, j_active, plan)
             if j_active > 2:
                 j_active = shrink_active_powers(per_power, j_active, plan)
-        processed = i
+        before = requested_total
+        block = absorb(table.rows[0])
         if observer is not None:
             observer(i, block, requested_total, j_active)
 
@@ -184,32 +184,23 @@ def _compute(
                     requested_total,
                     at_most_total,
                     per_cell,
-                    processed,
+                    i,
                     Termination.PARTIAL_REQUESTED,
                     crossing_digit=i,
+                    before_crossing=before,
                 )
-            continue  # threshold runs never stop on convergence
 
-        if digit_limit is None and max_term is not None and seen_nonzero:
-            block_size = Fraction(abs(block), plan.scale)
-            if block_size < plan.tiny_cutoff_soft and max_term < plan.tiny_cutoff_hard:
-                tiny_streak += 1
-                if tiny_streak >= 2:
-                    converged = True
-                    break
-            else:
-                tiny_streak = 0
-
-    if digit_limit is not None or threshold is not None:
-        termination = Termination.PARTIAL_REQUESTED
-    elif finite_end is not None and processed >= finite_end:
-        termination = Termination.FINITE_SERIES_EXHAUSTED
-    elif converged:
+    if solve:
+        # The solved sums include the seed block, which absorb already holds.
+        tail = solve_tail(table, conditions)
+        absorb([z - s for z, s in zip(tail, table.rows[0])])
         termination = Termination.CONVERGED
+    elif digit_limit is not None or threshold is not None:
+        termination = Termination.PARTIAL_REQUESTED
     else:
-        termination = Termination.DIGIT_CAP_REACHED
+        termination = Termination.FINITE_SERIES_EXHAUSTED
     return _RawResult(
-        plan, requested_total, at_most_total, per_cell, processed, termination
+        plan, requested_total, at_most_total, per_cell, limit, termination
     )
 
 
@@ -329,15 +320,10 @@ def threshold_search(
         )
     digits_high = crossing.crossing_digit
     digits_low = digits_high - 1
-
-    # Re-verify the bracket with independent partial-sum runs.
-    high_raw = _compute(conditions, decimals, digit_limit=digits_high, plan=plan)
-    sum_high = _quantized_fraction(high_raw.requested, plan)
-    if digits_low >= 1:
-        low_raw = _compute(conditions, decimals, digit_limit=digits_low, plan=plan)
-        sum_low = _quantized_fraction(low_raw.requested, plan)
-    else:
-        sum_low = Fraction(0)
+    # A partial_sum run to either length gives these totals bit for bit: the
+    # seed's power-1 row and the shrunk powers do not depend on the limit.
+    sum_high = _quantized_fraction(crossing.requested, plan)
+    sum_low = _quantized_fraction(crossing.before_crossing, plan)
     if not (sum_low < value <= sum_high):
         raise InsufficientAccuracy(
             "bracket could not be certified at working precision; "

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from decimal import Decimal
 
+import pytest
+
 import irwinsums.cli as cli
 from irwinsums.model import PrecisionPlan
 from irwinsums.summation import build_plan
@@ -72,7 +74,7 @@ class TestSumCommand:
         assert code == 2
         assert "duplicated" in err
 
-    def test_digit_cap_exits_4(self, capsys, monkeypatch):
+    def test_digit_cap_does_not_stop_sum(self, capsys, monkeypatch):
         real_build_plan = build_plan
 
         def capped(conditions, decimals):
@@ -86,9 +88,21 @@ class TestSumCommand:
             )
 
         monkeypatch.setattr(cli, "build_plan", capped)
-        code, _, err = run(capsys, "sum", "--digits", "9", "--counts", "0")
-        assert code == 4
-        assert "did not converge" in err
+        code, out, _ = run(capsys, "sum", "--digits", "9", "--counts", "0", "-v", "0")
+        assert code == 0
+        assert out.strip() == "22.920676619264150"
+
+    def test_threads_belongs_to_oracle_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sum", "--digits", "9", "--counts", "0", "--threads", "2"])
+        assert exc.value.code == 2
+        code, out, _ = run(
+            capsys,
+            "oracle", "--digits", "9", "--counts", "0", "--limit", "1000",
+            "--threads", "2",
+        )
+        assert code == 0
+        assert out.startswith("oracle sum (n < 1000) = ")
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
@@ -105,8 +119,10 @@ class TestSumCommand:
             capsys, "sum", "--digits", "9", "--counts", "0", "-v", "3"
         )
         assert code == 0
+        # full sums of infinite series report each enumerated digit length
         assert "partial sum for 1 digits" in err
-        assert "partial sum for" in err
+        assert "partial sum for 3 digits" in err
+        assert "partial sum for 4 digits" not in err
         assert "sum = 22.920676619264150" in out
 
     def test_per_cell_lines_for_multiple_conditions(self, capsys):

@@ -144,8 +144,7 @@ class TestPrecisionPlan:
 
     def test_cutoff_ordering(self):
         plan = self.plan()
-        assert plan.tiny_cutoff_hard < plan.tiny_cutoff_soft
-        assert plan.tiny_cutoff_soft < 10 ** -15
+        assert plan.tiny_cutoff_hard < 10 ** -15
 
     def test_guard_floor(self):
         with pytest.raises(ValueError):

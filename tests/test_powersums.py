@@ -136,14 +136,6 @@ class TestEstimateMaxPower:
             tail = sum(Fraction(1, n ** power) for n in range(a, b + 1))
             assert tail < Fraction(1, 10 ** decimals)
 
-    def test_integral_fallback_order(self):
-        # the bisection fallback lands near the order the direct search finds
-        from irwinsums.powersums import _solve_tail_order
-
-        order = _solve_tail_order(100, 999, 15)
-        direct = smallest_sufficient_power(10, 15, 3)
-        assert abs(order - direct) <= 2
-
     def test_estimate_failure_is_reported(self, monkeypatch):
         import irwinsums.powersums as powersums
         from irwinsums.model import EstimateFailed

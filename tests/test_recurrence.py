@@ -9,8 +9,13 @@ import pytest
 
 from irwinsums.model import ConditionSet, PrecisionPlan
 from irwinsums.oracle import block_cell_sums
-from irwinsums.powersums import PowerSumTable, direct_sum
-from irwinsums.recurrence import advance, expansion_coefficient, shrink_active_powers
+from irwinsums.powersums import PowerSumTable, digit_power_sum, direct_sum
+from irwinsums.recurrence import (
+    advance,
+    expansion_coefficient,
+    expansion_terms,
+    shrink_active_powers,
+)
 from irwinsums.summation import build_plan
 
 
@@ -39,6 +44,21 @@ class TestExpansionCoefficient:
                         assert abs(expansion_coefficient(base, j, n + 1)) < abs(
                             expansion_coefficient(base, j, n)
                         )
+
+    def test_integer_terms_match_coefficients(self):
+        # the shared integer terms are the coefficients over base**j_active,
+        # weighted by the unconstrained digits' power sums and by d**n
+        for digits, counts, base in [([9, 3], [2, 1], 10), ([0], [1], 2), ([2], [0], 3)]:
+            c = ConditionSet.of(digits, counts, base=base)
+            j_active = 7
+            terms = list(expansion_terms(c, j_active))
+            assert [j for j, _ in terms] == list(range(j_active, 0, -1))
+            for j, coeffs in terms:
+                assert len(coeffs) == j_active - j + 1
+                for n, (k0, kcs) in enumerate(coeffs):
+                    a = expansion_coefficient(base, j, n) * base ** j_active
+                    assert k0 == a * digit_power_sum(base, n, c)
+                    assert kcs == tuple(a * d ** n for d in digits)
 
 
 def seeded_plan(conditions, seed_digits, decimals=15):

@@ -75,7 +75,7 @@ class TestIrwinSum:
         r = irwin_sum(ConditionSet.of([9, 3], [1, 1]), 15)
         assert r.per_count_sums is None
 
-    def test_digit_cap_is_reported(self):
+    def test_digit_cap_does_not_limit_full_sum(self, ulp):
         c = ConditionSet.of([9], [0])
         base_plan = build_plan(c, 15)
         tiny_cap = PrecisionPlan(
@@ -86,8 +86,9 @@ class TestIrwinSum:
             direct_sum_digits=base_plan.direct_sum_digits,
         )
         r = irwin_sum(c, 15, plan=tiny_cap)
-        assert r.termination is Termination.DIGIT_CAP_REACHED
-        assert r.digits_processed == 12
+        assert r.termination is Termination.CONVERGED
+        assert r.digits_processed == 3  # the enumerated digit lengths
+        ulp(r.requested_sum, "22.920676619264150")
 
     def test_zero_count_sums_decrease(self):
         # sums for k zeros strictly decrease for small k
@@ -110,11 +111,34 @@ class TestIrwinSum:
         assert r.per_cell_sums[-1] == r.requested_sum
 
     def test_convergence_stop_is_sound(self):
-        # five more digit lengths change nothing at the requested precision
+        # walking to 540 digit lengths, five past where blocks of one-9 become
+        # negligible at 15 decimals, agrees with the solved total
         c = ConditionSet.of([9], [1])
         full = irwin_sum(c, 15)
-        longer = partial_sum(c, full.digits_processed + 5, 15)
+        longer = partial_sum(c, 540, 15)
         assert abs(longer.requested_sum - full.requested_sum) < Decimal("1e-15")
+
+    @pytest.mark.parametrize(
+        "digits,counts,base,walk",
+        [
+            ([9, 3], [2, 0], 10, 272),
+            (list(range(1, 10)), [1] * 9, 10, 44),
+            ([0], [1], 2, 90),
+            ([0], [3], 3, 165),
+            ([2], [0], 3, 137),
+        ],
+    )
+    def test_solved_cells_match_walk(self, digits, counts, base, walk):
+        # ``walk`` lies a few digit lengths past the point where every block
+        # is negligible at 15 decimals
+        c = ConditionSet.of(digits, counts, base=base)
+        solved = irwin_sum(c, 15)
+        walked = partial_sum(c, walk, 15)
+        assert solved.termination is Termination.CONVERGED
+        assert solved.digits_processed == build_plan(c, 15).direct_sum_digits
+        assert len(solved.per_cell_sums) == len(walked.per_cell_sums)
+        for got, want in zip(solved.per_cell_sums, walked.per_cell_sums):
+            assert abs(got - want) <= Decimal("1e-15")
 
     def test_truncation_order_is_sound(self):
         # doubling the power truncation leaves the result unchanged
@@ -205,6 +229,22 @@ class TestThresholdSearch:
         threshold = Fraction(23)
         assert Fraction(str(r.sum_low)) < threshold <= Fraction(str(r.sum_high))
         assert r.digits_high == r.digits_low + 1
+
+    @pytest.mark.parametrize(
+        "digits,counts,threshold,decimals,threshold_decimals",
+        [
+            ([9], [1], "23", 15, None),
+            ([9, 0], [3, 1], "2", 16, None),
+            ([9], [1], "23.044287080747", 15, 25),
+        ],
+    )
+    def test_bracket_equals_partial_sums(
+        self, digits, counts, threshold, decimals, threshold_decimals
+    ):
+        c = ConditionSet.of(digits, counts)
+        r = threshold_search(c, threshold, decimals, threshold_decimals)
+        assert r.sum_low == partial_sum(c, r.digits_low, r.decimals).requested_sum
+        assert r.sum_high == partial_sum(c, r.digits_high, r.decimals).requested_sum
 
     def test_short_threshold_text_is_refused(self):
         with pytest.raises(InsufficientAccuracy):
