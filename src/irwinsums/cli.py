@@ -7,8 +7,8 @@ Subcommands mirror the library drivers: ``sum`` (full series), ``partial``
 grouped text, or JSON; diagnostics go to stderr.
 
 Exit codes: 0 success, 2 invalid input, 3 insufficient accuracy or threshold
-above the total, 5 enumeration budget exceeded.  Code 4 is not produced; it
-stays unassigned so that the other codes keep their numbers.
+above the total, 5 enumeration or table budget exceeded.  Code 4 is not
+produced; it stays unassigned so that the other codes keep their numbers.
 """
 
 from __future__ import annotations
@@ -173,8 +173,7 @@ def _print_plan(plan, args: argparse.Namespace) -> None:
     if args.verbose >= 2:
         print(
             f"decimals = {plan.requested_decimals}, working = {plan.working_decimals}, "
-            f"max power = {plan.max_power}, direct digits = {plan.direct_sum_digits}, "
-            f"digit cap = {plan.max_digit_length}",
+            f"max power = {plan.max_power}, direct digits = {plan.direct_sum_digits}",
             file=sys.stderr,
         )
 

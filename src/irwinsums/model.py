@@ -10,7 +10,6 @@ is normative for every table in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Sequence
 
@@ -52,7 +51,7 @@ class OutOfBounds(IrwinSumError):
 
 
 class RangeTooLarge(IrwinSumError):
-    """A direct enumeration would exceed the enumeration budget."""
+    """A direct enumeration or a power-sum table would exceed its budget."""
 
 
 class EstimateFailed(IrwinSumError):
@@ -142,6 +141,16 @@ class ConditionSet:
         """Number of occurrence vectors: the product of (count + 1)."""
         return reduce(lambda acc, c: acc * (c[1] + 1), self.conditions, 1)
 
+    @property
+    def strides(self) -> tuple[int, ...]:
+        """Mixed-radix place value of each condition in the flat slot index."""
+        strides = []
+        stride = 1
+        for n in self.counts:
+            strides.append(stride)
+            stride *= n + 1
+        return tuple(strides)
+
     def is_finite_series(self) -> bool:
         """True when every digit is constrained; denominators then have at
         most sum(counts) digits."""
@@ -171,12 +180,10 @@ def occurrence_index(vector: Sequence[int], conditions: ConditionSet) -> int:
             f"vector length {len(vector)} != {len(counts)} conditions"
         )
     index = 0
-    stride = 1
-    for k, n in zip(vector, counts):
+    for k, n, stride in zip(vector, counts, conditions.strides):
         if not 0 <= k <= n:
             raise OutOfBounds(f"occurrence count {k} outside [0, {n}]")
         index += k * stride
-        stride *= n + 1
     return index
 
 
@@ -210,7 +217,7 @@ MIN_REQUESTED_DECIMALS = 5
 
 @dataclass(frozen=True)
 class PrecisionPlan:
-    """Working precision, truncation thresholds, and loop caps for one run.
+    """Working precision, truncation order, and loop caps for one run.
 
     ``working_decimals`` is the scale of all fixed-point mantissas; results
     are rounded half-even to ``requested_decimals`` only at the output step.
@@ -233,16 +240,10 @@ class PrecisionPlan:
         if self.max_digit_length < self.direct_sum_digits + 1:
             raise ValueError("max_digit_length must exceed direct_sum_digits")
         object.__setattr__(self, "scale", 10 ** self.working_decimals)
-        assert self.tiny_cutoff_hard < Fraction(1, 10 ** self.requested_decimals)
 
     @property
     def guard_decimals(self) -> int:
         return self.working_decimals - self.requested_decimals
-
-    @property
-    def tiny_cutoff_hard(self) -> Fraction:
-        """Below this, a single recurrence term is negligible."""
-        return Fraction(1, 10 ** (2 * self.working_decimals))
 
 
 def clamp_decimals(requested_decimals: int) -> int:

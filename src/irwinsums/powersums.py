@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .fixedpoint import div_nearest
 from .model import (
@@ -19,7 +18,6 @@ from .model import (
     EstimateFailed,
     PrecisionPlan,
     RangeTooLarge,
-    occurrence_index,
 )
 
 # Upper bound on base**digit_length for direct enumeration.
@@ -40,14 +38,6 @@ class PowerSumTable:
     max_power: int
     scale: int
     rows: list[list[int]]
-
-    def value(self, power: int, slot: int) -> int:
-        if not 1 <= power <= self.max_power:
-            raise ValueError(f"power {power} outside [1, {self.max_power}]")
-        return self.rows[power - 1][slot]
-
-    def cell(self, power: int, vector: Sequence[int]) -> int:
-        return self.value(power, occurrence_index(vector, self.conditions))
 
 
 def digit_power_sum(base: int, n: int, conditions: ConditionSet) -> int:
@@ -90,12 +80,7 @@ def direct_sum(
     for pos, d in enumerate(digits):
         slot_of_digit[d] = pos
 
-    # Mixed-radix strides of the flat occurrence index.
-    strides = [0] * m
-    stride = 1
-    for pos, n in enumerate(counts):
-        strides[pos] = stride
-        stride *= n + 1
+    strides = conditions.strides
 
     scale = plan.scale
     rows = [[0] * conditions.cell_count for _ in range(max_power)]

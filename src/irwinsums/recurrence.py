@@ -41,11 +41,7 @@ def expansion_coefficient(base: int, power: int, n: int) -> Fraction:
 @lru_cache(maxsize=32)
 def _decrement_slots(conditions: ConditionSet) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Per flat slot, the (condition position, slot with that count - 1) pairs."""
-    strides = []
-    stride = 1
-    for n in conditions.counts:
-        strides.append(stride)
-        stride *= n + 1
+    strides = conditions.strides
     table = []
     for slot in range(conditions.cell_count):
         vector = occurrence_vector(slot, conditions)
@@ -88,47 +84,24 @@ def expansion_terms(
         yield j, coeffs
 
 
-def shrink_active_powers(
-    per_power_max: list[Fraction], j_active: int, plan: PrecisionPlan
-) -> int:
-    """Lowest power bound (>= 2) that keeps every discarded power tiny.
-
-    Returns the smallest j' >= 2 such that the largest term seen at every
-    power j >= j' stayed below the hard cutoff; never exceeds ``j_active``.
-    """
-    if j_active < 2:
-        return j_active
-    cutoff = plan.tiny_cutoff_hard
-    shrunk = j_active
-    for j in range(j_active, 1, -1):
-        if per_power_max[j - 1] < cutoff:
-            shrunk = j
-        else:
-            break
-    return shrunk
-
-
 def advance(
     table: PowerSumTable,
     conditions: ConditionSet,
     j_active: int,
     plan: PrecisionPlan,
-) -> tuple[PowerSumTable, Fraction, list[Fraction]]:
+) -> tuple[PowerSumTable, int, list[int]]:
     """One recurrence step: build the table for the next digit length.
 
-    Returns the new table (powers 1..j_active), the largest single term seen
-    anywhere, and the largest term seen per power (index j - 1).  The maxima
-    are exact rationals derived from coefficient magnitudes and per-row source
-    maxima; for the decrement contributions this is an upper bound, attained
-    unless a row's peak cell sits at a condition's full count.
+    Returns the new table (powers 1..j_active), the largest |mantissa| in it,
+    and the largest |mantissa| per power row (index j - 1).  Rows j..J read
+    only rows j..J, so once a row's peak and every higher row's peak are 0,
+    those rows stay exactly 0 at every later digit length.
     """
     if len(table.rows) < j_active:
         raise ValueError(
             f"table holds {len(table.rows)} powers, {j_active} required"
         )
     base = conditions.base
-    counts = conditions.counts
-    m = conditions.num_conditions
     cells = conditions.cell_count
     scale = plan.scale
     rows_prev = table.rows
@@ -144,25 +117,10 @@ def advance(
         if col_nonzero[slot] or any(col_nonzero[s2] for _, s2 in neighbors[slot])
     ]
 
-    src_absmax = [
-        max(max(row), -min(row)) if row else 0 for row in rows_prev[:j_active]
-    ]
-
     divisor = base ** j_active
     new_rows: list[list[int]] = [[]] * j_active
-    per_power_max: list[Fraction] = [Fraction(0)] * j_active
+    peaks = [0] * j_active
     for j, coeffs in expansion_terms(conditions, j_active):
-        max_num = 0
-        for n, (k0, kcs) in enumerate(coeffs):
-            bound = abs(k0) * src_absmax[j - 1 + n]
-            if bound > max_num:
-                max_num = bound
-            for c in range(m):
-                if counts[c] > 0:
-                    bound = abs(kcs[c]) * src_absmax[j - 1 + n]
-                    if bound > max_num:
-                        max_num = bound
-
         row_new = [0] * cells
         n_range = range(len(coeffs))
         jm1 = j - 1
@@ -183,13 +141,12 @@ def advance(
                             s += kc * tv2
             row_new[slot] = div_toward_zero(s, divisor)
         new_rows[j - 1] = row_new
-        per_power_max[j - 1] = Fraction(max_num, divisor * scale)
+        peaks[j - 1] = max(max(row_new), -min(row_new))
 
     next_table = PowerSumTable(
         conditions, table.digit_length + 1, j_active, scale, new_rows
     )
-    max_term = max(per_power_max) if per_power_max else Fraction(0)
-    return next_table, max_term, per_power_max
+    return next_table, max(peaks, default=0), peaks
 
 
 def solve_tail(seed: PowerSumTable, conditions: ConditionSet) -> list[int]:

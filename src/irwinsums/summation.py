@@ -21,13 +21,14 @@ from .model import (
     ConditionSet,
     InsufficientAccuracy,
     PrecisionPlan,
+    RangeTooLarge,
     ThresholdAboveTotal,
     clamp_decimals,
     default_max_digit_length,
     direct_sum_digit_count,
 )
 from .powersums import direct_sum, estimate_max_power
-from .recurrence import advance, shrink_active_powers, solve_tail
+from .recurrence import advance, solve_tail
 
 
 class Termination(str, enum.Enum):
@@ -72,6 +73,9 @@ class ThresholdResult:
     digits_high: int
     sum_high: Decimal
 
+
+# Upper bound on cell_count * max_power, the size of one power-sum table.
+TABLE_CELL_LIMIT = 4 * 10 ** 6
 
 BlockObserver = Callable[[int, int, int, int], None]
 """Called per digit length with (digit_length, block, total, j_active);
@@ -129,6 +133,11 @@ def _compute(
 ) -> _RawResult:
     """Run the engine; see the public wrappers for the result contracts."""
     plan = plan or build_plan(conditions, requested_decimals)
+    if conditions.cell_count * plan.max_power > TABLE_CELL_LIMIT:
+        raise RangeTooLarge(
+            f"{conditions.cell_count} cells x {plan.max_power} powers exceed "
+            f"the table budget of {TABLE_CELL_LIMIT}"
+        )
     per_cell = [0] * conditions.cell_count
 
     if conditions.is_empty_series():
@@ -169,9 +178,9 @@ def _compute(
             seeds = i == seed_digit and (solve or limit > seed_digit)
             table = direct_sum(conditions, i, plan.max_power if seeds else 1, plan)
         else:
-            table, _, per_power = advance(table, conditions, j_active, plan)
-            if j_active > 2:
-                j_active = shrink_active_powers(per_power, j_active, plan)
+            table, _, peaks = advance(table, conditions, j_active, plan)
+            while j_active > 2 and peaks[j_active - 1] == 0:
+                j_active -= 1
         before = requested_total
         block = absorb(table.rows[0])
         if observer is not None:

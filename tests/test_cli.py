@@ -8,6 +8,7 @@ from decimal import Decimal
 import pytest
 
 import irwinsums.cli as cli
+import irwinsums.summation as summation
 from irwinsums.model import PrecisionPlan
 from irwinsums.summation import build_plan
 
@@ -113,6 +114,21 @@ class TestSumCommand:
         assert "sum = " in out  # text still printed
         report = json.loads(path.read_text())
         assert Decimal(report["sum"]) == Decimal("22.920676619264150")
+
+    def test_plan_line_at_verbosity_two(self, capsys):
+        code, _, err = run(capsys, "sum", "--digits", "9", "--counts", "1", "-v", "2")
+        assert code == 0
+        assert err.splitlines() == [
+            "decimals = 15, working = 23, max power = 11, direct digits = 3"
+        ]
+
+    def test_oversized_table_exits_5(self, capsys, monkeypatch):
+        # the budget is checked before any table is allocated
+        monkeypatch.setattr(summation, "TABLE_CELL_LIMIT", 10)
+        code, out, err = run(capsys, "sum", "--digits", "9,3", "--counts", "1,1")
+        assert code == 5
+        assert out == ""
+        assert "table budget of 10" in err
 
     def test_progress_lines_on_stderr(self, capsys):
         code, out, err = run(

@@ -118,6 +118,13 @@ class TestOccurrenceIndex:
         for vector in itertools.product(range(4), range(3), range(2)):
             assert occurrence_vector(occurrence_index(vector, c), c) == vector
 
+    def test_strides_are_unit_vector_slots(self):
+        c = ConditionSet.of([1, 2, 3], [3, 2, 1])
+        assert c.strides == (1, 4, 12)
+        for pos, stride in enumerate(c.strides):
+            unit = tuple(int(i == pos) for i in range(c.num_conditions))
+            assert occurrence_index(unit, c) == stride
+
     def test_out_of_bounds(self):
         c = ConditionSet.of([9, 3], [2, 1])
         with pytest.raises(OutOfBounds):
@@ -141,10 +148,6 @@ class TestPrecisionPlan:
         )
         defaults.update(kwargs)
         return PrecisionPlan(**defaults)
-
-    def test_cutoff_ordering(self):
-        plan = self.plan()
-        assert plan.tiny_cutoff_hard < 10 ** -15
 
     def test_guard_floor(self):
         with pytest.raises(ValueError):

@@ -22,14 +22,14 @@ class TestDirectSum:
         c = ConditionSet.of([9], [0])
         plan = build_plan(c, 15)
         table = direct_sum(c, 1, 1, plan)
-        got = Fraction(table.cell(1, (0,)), plan.scale)
+        got = Fraction(table.rows[0][0], plan.scale)
         assert abs(got - Fraction(761, 280)) <= one_ulp(plan)
 
     def test_one_digit_single_nine(self):
         c = ConditionSet.of([9], [1])
         plan = build_plan(c, 15)
         table = direct_sum(c, 1, 1, plan)
-        got = Fraction(table.cell(1, (1,)), plan.scale)
+        got = Fraction(table.rows[0][1], plan.scale)
         assert abs(got - Fraction(1, 9)) <= one_ulp(plan)
 
     def test_enumeration_budget(self):
@@ -44,7 +44,7 @@ class TestDirectSum:
         plan = build_plan(c, 15)
         table = direct_sum(c, 2, 1, plan)
         want = sum(Fraction(1, n) for n in range(11, 100) if "0" not in str(n))
-        got = Fraction(table.cell(1, (0,)), plan.scale)
+        got = Fraction(table.rows[0][0], plan.scale)
         assert abs(got - want) <= Fraction(100, plan.scale)
 
     @pytest.mark.parametrize(
@@ -69,7 +69,7 @@ class TestDirectSum:
             assert all(v >= 0 for v in row)
         for j in range(1, 4):
             for slot in range(c.cell_count):
-                assert table.value(j + 1, slot) <= table.value(j, slot)
+                assert table.rows[j][slot] <= table.rows[j - 1][slot]
 
     def test_block_total_is_at_most_block_sum(self):
         # summed over every occurrence vector, a block equals the brute-force

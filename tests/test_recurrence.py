@@ -1,4 +1,5 @@
-"""Recurrence step: expansion coefficients, table advancement, power shrink."""
+"""Recurrence step: expansion coefficients, table advancement, and the walk
+dropping powers whose rows have become all zero."""
 
 from __future__ import annotations
 
@@ -10,13 +11,8 @@ import pytest
 from irwinsums.model import ConditionSet, PrecisionPlan
 from irwinsums.oracle import block_cell_sums
 from irwinsums.powersums import PowerSumTable, digit_power_sum, direct_sum
-from irwinsums.recurrence import (
-    advance,
-    expansion_coefficient,
-    expansion_terms,
-    shrink_active_powers,
-)
-from irwinsums.summation import build_plan
+from irwinsums.recurrence import advance, expansion_coefficient, expansion_terms
+from irwinsums.summation import build_plan, partial_sum
 
 
 class TestExpansionCoefficient:
@@ -84,7 +80,7 @@ def advance_from_direct(conditions, seed_digits, target_digits, decimals=15):
     table = direct_sum(conditions, seed_digits, plan.max_power, plan)
     results = {}
     for digit_length in range(seed_digits + 1, target_digits + 1):
-        table, max_term, per_power = advance(table, conditions, plan.max_power, plan)
+        table, _, _ = advance(table, conditions, plan.max_power, plan)
         results[digit_length] = table
     return plan, results
 
@@ -110,10 +106,10 @@ class TestAdvance:
         empty = PowerSumTable(
             c, 3, 4, plan.scale, [[0] * c.cell_count for _ in range(4)]
         )
-        table, max_term, per_power = advance(empty, c, 4, plan)
+        table, peak, peaks = advance(empty, c, 4, plan)
         assert all(v == 0 for row in table.rows for v in row)
-        assert max_term == 0
-        assert all(p == 0 for p in per_power)
+        assert peak == 0
+        assert all(p == 0 for p in peaks)
 
     @pytest.mark.parametrize(
         "digits,counts,base",
@@ -151,52 +147,64 @@ class TestAdvance:
                 assert Fraction(v, plan.scale) >= floor
 
     def test_max_term_reflects_term_sizes(self):
-        # power-1 terms dominate and per-power maxima decrease with power
+        # the power-1 row holds the largest cell and row peaks decrease with power
         c = ConditionSet.of([9], [0])
         plan = build_plan(c, 15)
         table = direct_sum(c, 3, plan.max_power, plan)
-        _, max_term, per_power = advance(table, c, plan.max_power, plan)
-        assert max_term == per_power[0] > 0
-        assert all(per_power[j] >= per_power[j + 1] for j in range(len(per_power) - 1))
+        _, peak, peaks = advance(table, c, plan.max_power, plan)
+        assert peak == peaks[0] > 0
+        assert all(peaks[j] >= peaks[j + 1] for j in range(len(peaks) - 1))
+
+
+def walk_totals(conditions, digit_limit, plan):
+    """Per-level totals of a walk that keeps every power at every length."""
+    target = conditions.cell_count - 1
+    total = 0
+    totals = []
+    for i in range(1, digit_limit + 1):
+        if i <= plan.direct_sum_digits:
+            seeds = i == plan.direct_sum_digits
+            table = direct_sum(conditions, i, plan.max_power if seeds else 1, plan)
+        else:
+            table, _, _ = advance(table, conditions, plan.max_power, plan)
+        total += table.rows[0][target]
+        totals.append((i, total))
+    return totals
 
 
 class TestShrinkActivePowers:
-    def plan(self):
-        return PrecisionPlan(
-            requested_decimals=15,
-            working_decimals=17,
-            max_power=12,
-            max_digit_length=900,
-            direct_sum_digits=3,
+    @pytest.mark.parametrize(
+        "digits,counts,base,digit_limit",
+        [
+            ([9], [1], 10, 200),
+            ([0], [10], 10, 210),
+            ([9, 3], [2, 1], 10, 60),
+            ([0], [1], 2, 60),
+            (list(range(10)), [1] * 10, 10, 10),
+            ([2], [0], 3, 80),
+            (list(range(1, 10)), [1] * 9, 10, 20),
+        ],
+    )
+    def test_dropping_zero_rows_is_exact(self, digits, counts, base, digit_limit):
+        # a row whose peak is 0 reads only higher rows that are 0 too, so the
+        # walk's totals equal, as integers, those of one that never drops
+        c = ConditionSet.of(digits, counts, base=base)
+        plan = build_plan(c, 15)
+        seen = []
+        partial_sum(
+            c, digit_limit, 15, plan=plan,
+            observer=lambda i, block, total, j_active: seen.append((i, total, j_active)),
         )
-
-    def test_nothing_tiny_keeps_all(self):
-        plan = self.plan()
-        big = [plan.tiny_cutoff_hard * 2] * 12
-        assert shrink_active_powers(big, 12, plan) == 12
-
-    def test_tiny_tail_shrinks(self):
-        plan = self.plan()
-        maxima = [plan.tiny_cutoff_hard * 2] * 6 + [plan.tiny_cutoff_hard / 2] * 6
-        assert shrink_active_powers(maxima, 12, plan) == 7
-
-    def test_never_grows_and_floor_two(self):
-        plan = self.plan()
-        tiny = [plan.tiny_cutoff_hard / 2] * 12
-        assert shrink_active_powers(tiny, 12, plan) == 2
-        assert shrink_active_powers(tiny[:2], 2, plan) == 2
+        assert [(i, total) for i, total, _ in seen] == walk_totals(c, digit_limit, plan)
+        assert 2 <= min(j for _, _, j in seen) < plan.max_power
 
     def test_monotone_over_run(self):
         # active powers never grow over successive digit lengths
         c = ConditionSet.of([9], [0])
-        plan = build_plan(c, 15)
-        table = direct_sum(c, 3, plan.max_power, plan)
-        j_active = plan.max_power
-        history = [j_active]
-        for _ in range(40):
-            table, _, per_power = advance(table, c, j_active, plan)
-            if j_active > 2:
-                j_active = shrink_active_powers(per_power, j_active, plan)
-            history.append(j_active)
+        history = []
+        partial_sum(
+            c, 43, 15,
+            observer=lambda i, block, total, j_active: history.append(j_active),
+        )
         assert history == sorted(history, reverse=True)
-        assert history[-1] < plan.max_power  # it does shrink eventually
+        assert history[-1] < build_plan(c, 15).max_power  # it does shrink eventually
