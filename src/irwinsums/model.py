@@ -213,6 +213,9 @@ def direct_sum_digit_count(base: int) -> int:
 
 DEFAULT_GUARD_DECIMALS = 8
 MIN_REQUESTED_DECIMALS = 5
+# Past this the seed's power count and its integers grow until a run takes
+# minutes (no-9 on 2 vCPUs: about 3.5 s at 1000 decimals, 30 s at 2000).
+MAX_REQUESTED_DECIMALS = 1000
 
 
 @dataclass(frozen=True)
@@ -247,7 +250,13 @@ class PrecisionPlan:
 
 
 def clamp_decimals(requested_decimals: int) -> int:
-    return max(int(requested_decimals), MIN_REQUESTED_DECIMALS)
+    """Raise small requests to the minimum; refuse those above the cap."""
+    decimals = int(requested_decimals)
+    if decimals > MAX_REQUESTED_DECIMALS:
+        raise RangeTooLarge(
+            f"{decimals} decimals exceed the cap of {MAX_REQUESTED_DECIMALS}"
+        )
+    return max(decimals, MIN_REQUESTED_DECIMALS)
 
 
 def default_max_digit_length(requested_decimals: int, max_count: int) -> int:

@@ -29,13 +29,11 @@ class PowerSumTable:
     """Reciprocal power sums for one digit length, all occurrence vectors.
 
     ``rows[j - 1][slot]`` is the fixed-point mantissa (at ``scale``) of the
-    power-``j`` sum for the occurrence vector with flat index ``slot``.
-    Tables are treated as immutable once returned.
+    power-``j`` sum for the occurrence vector with flat index ``slot``;
+    ``len(rows)`` is the number of powers held.  Tables are treated as
+    immutable once returned.
     """
 
-    conditions: ConditionSet
-    digit_length: int
-    max_power: int
     scale: int
     rows: list[list[int]]
 
@@ -115,7 +113,7 @@ def direct_sum(
                 break
             row[slot] += term
             xj *= x
-    return PowerSumTable(conditions, digit_length, max_power, scale, rows)
+    return PowerSumTable(scale, rows)
 
 
 def _tail_below(a: int, b: int, power: int, decimals: int) -> bool:

@@ -18,6 +18,10 @@ The map from one digit length to the next does not depend on the length, so
 the power sums of every block from a seed on are the fixed point of
 z = s + T z, with s the seed table and T one step.  ``solve_tail`` finds it
 by back-substitution instead of walking the lengths one by one.
+
+One row kernel, ``_fill_row``, computes every cell of both: ``advance`` fills
+the next length's rows from the previous ones, and ``solve_tail`` fills the
+unknown rows from the seed and the rows it has already solved.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .fixedpoint import div_nearest, div_toward_zero
 from .model import ConditionSet, PrecisionPlan, occurrence_vector
@@ -84,6 +88,43 @@ def expansion_terms(
         yield j, coeffs
 
 
+def _fill_row(
+    row: list[int],
+    start: list[int],
+    sources: list[list[int]],
+    coeffs: list[tuple[int, tuple[int, ...]]],
+    neighbors: tuple[tuple[tuple[int, int], ...], ...],
+    slots: Iterable[int],
+    divisor: int,
+    rounding: Callable[[int, int], int],
+) -> None:
+    """Write one power's row: for each slot, ``start[slot]`` plus every
+    expansion term, read from ``sources[n]`` (power j + n) at the slot and its
+    decrement neighbours, rounded over ``divisor``.
+
+    ``row`` may alias ``start`` (each slot is read before it is written) or
+    ``sources[0]``: neighbours lie at lower slots, so their terms read values
+    this call already wrote, as back-substitution needs.
+    """
+    n_range = range(len(coeffs))
+    for slot in slots:
+        s = start[slot]
+        nbr = neighbors[slot]
+        for n in n_range:
+            src = sources[n]
+            k0, kcs = coeffs[n]
+            tv = src[slot]
+            if tv and k0:
+                s += k0 * tv
+            for c, s2 in nbr:
+                tv2 = src[s2]
+                if tv2:
+                    kc = kcs[c]
+                    if kc:
+                        s += kc * tv2
+        row[slot] = rounding(s, divisor)
+
+
 def advance(
     table: PowerSumTable,
     conditions: ConditionSet,
@@ -101,9 +142,7 @@ def advance(
         raise ValueError(
             f"table holds {len(table.rows)} powers, {j_active} required"
         )
-    base = conditions.base
     cells = conditions.cell_count
-    scale = plan.scale
     rows_prev = table.rows
     neighbors = _decrement_slots(conditions)
 
@@ -117,36 +156,18 @@ def advance(
         if col_nonzero[slot] or any(col_nonzero[s2] for _, s2 in neighbors[slot])
     ]
 
-    divisor = base ** j_active
+    divisor = conditions.base ** j_active
     new_rows: list[list[int]] = [[]] * j_active
     peaks = [0] * j_active
     for j, coeffs in expansion_terms(conditions, j_active):
-        row_new = [0] * cells
-        n_range = range(len(coeffs))
-        jm1 = j - 1
-        for slot in targets:
-            s = 0
-            nbr = neighbors[slot]
-            for n in n_range:
-                src = rows_prev[jm1 + n]
-                k0, kcs = coeffs[n]
-                tv = src[slot]
-                if tv and k0:
-                    s += k0 * tv
-                for c, s2 in nbr:
-                    tv2 = src[s2]
-                    if tv2:
-                        kc = kcs[c]
-                        if kc:
-                            s += kc * tv2
-            row_new[slot] = div_toward_zero(s, divisor)
-        new_rows[j - 1] = row_new
-        peaks[j - 1] = max(max(row_new), -min(row_new))
-
-    next_table = PowerSumTable(
-        conditions, table.digit_length + 1, j_active, scale, new_rows
-    )
-    return next_table, max(peaks, default=0), peaks
+        row = [0] * cells
+        _fill_row(
+            row, row, rows_prev[j - 1 :], coeffs, neighbors, targets,
+            divisor, div_toward_zero,
+        )
+        new_rows[j - 1] = row
+        peaks[j - 1] = max(max(row), -min(row))
+    return PowerSumTable(plan.scale, new_rows), max(peaks, default=0), peaks
 
 
 def solve_tail(seed: PowerSumTable, conditions: ConditionSet) -> list[int]:
@@ -163,27 +184,15 @@ def solve_tail(seed: PowerSumTable, conditions: ConditionSet) -> list[int]:
     to nearest is safe.
     """
     j_max = len(seed.rows)
-    cells = conditions.cell_count
+    cells = range(conditions.cell_count)
     neighbors = _decrement_slots(conditions)
     scaled = conditions.base ** j_max
-    z = [[0] * cells for _ in range(j_max)]
+    z = [[0] * conditions.cell_count for _ in range(j_max)]
     for j, coeffs in expansion_terms(conditions, j_max):
         # coeffs[0][0] * z[j - 1][slot] is the diagonal term; the cell is still
         # 0 when its own sum reads it, and the diagonal moves into the divisor.
-        divisor = scaled - coeffs[0][0]
-        seed_row = seed.rows[j - 1]
-        sources = z[j - 1 :]
-        row = z[j - 1]
-        for slot in range(cells):
-            s = scaled * seed_row[slot]
-            nbr = neighbors[slot]
-            for src, (k0, kcs) in zip(sources, coeffs):
-                tv = src[slot]
-                if tv:
-                    s += k0 * tv
-                for c, s2 in nbr:
-                    tv2 = src[s2]
-                    if tv2:
-                        s += kcs[c] * tv2
-            row[slot] = div_nearest(s, divisor)
+        _fill_row(
+            z[j - 1], [scaled * v for v in seed.rows[j - 1]], z[j - 1 :], coeffs,
+            neighbors, cells, scaled - coeffs[0][0], div_nearest,
+        )
     return z[0]

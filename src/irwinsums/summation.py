@@ -1,11 +1,12 @@
 """Top-level drivers: full sums, at-most sums, partial sums, thresholds.
 
-The engine walks digit lengths in order: blocks short enough to enumerate
-are summed directly, and the last of them seeds the power-sum recurrence.
-Full sums of infinite series then solve for the sum of every block from the
-seed on in one back-substitution; partial sums, threshold walks and finite
-series step the recurrence until the requested digit limit, the threshold
-crossing, or the finite-series end.
+Every run consumes one walk over digit lengths, ``_walk``: blocks short
+enough to enumerate are summed directly, the last of them is the seed of the
+power-sum recurrence, and the recurrence carries the tables on from there.
+Its callers only choose where to stop: a partial sum at its digit limit, a
+threshold search at the crossing, a finite series at its longest
+denominator, and a full sum of an infinite series at the seed, followed by
+one back-substitution that solves for every block from the seed on.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .fixedpoint import div_nearest, fixed_to_decimal, parse_exact_decimal
 from .model import (
@@ -27,7 +28,7 @@ from .model import (
     default_max_digit_length,
     direct_sum_digit_count,
 )
-from .powersums import direct_sum, estimate_max_power
+from .powersums import PowerSumTable, direct_sum, estimate_max_power
 from .recurrence import advance, solve_tail
 
 
@@ -104,13 +105,9 @@ def build_plan(conditions: ConditionSet, requested_decimals: int) -> PrecisionPl
 @dataclass
 class _RawResult:
     plan: PrecisionPlan
-    requested: int
-    at_most: int
     per_cell: list[int]
     digits_processed: int
     termination: Termination
-    crossing_digit: Optional[int] = None
-    before_crossing: int = 0
 
 
 def _quantized_fraction(mantissa: int, plan: PrecisionPlan) -> Fraction:
@@ -122,12 +119,36 @@ def _quantized_fraction(mantissa: int, plan: PrecisionPlan) -> Fraction:
     )
 
 
+def _walk(
+    conditions: ConditionSet, plan: PrecisionPlan, last: int
+) -> Iterator[tuple[int, PowerSumTable, int]]:
+    """Yield ``(digit_length, table, j_active)`` for lengths 1..last.
+
+    Lengths below the seed are enumerated for their power-1 row only; the
+    seed is enumerated with every power, and later lengths step the
+    recurrence, dropping the top power while its row reads exactly 0.  Finite
+    series stop at their longest denominator.
+    """
+    if conditions.is_finite_series():
+        last = min(last, conditions.finite_digit_limit())
+    seed_digit = plan.direct_sum_digits
+    j_active = plan.max_power
+    for i in range(1, last + 1):
+        if i <= seed_digit:
+            powers = plan.max_power if i == seed_digit else 1
+            table = direct_sum(conditions, i, powers, plan)
+        else:
+            table, _, peaks = advance(table, conditions, j_active, plan)
+            while j_active > 2 and peaks[j_active - 1] == 0:
+                j_active -= 1
+        yield i, table, j_active
+
+
 def _compute(
     conditions: ConditionSet,
     requested_decimals: int,
     *,
     digit_limit: Optional[int] = None,
-    threshold: Optional[Fraction] = None,
     plan: Optional[PrecisionPlan] = None,
     observer: Optional[BlockObserver] = None,
 ) -> _RawResult:
@@ -141,76 +162,31 @@ def _compute(
     per_cell = [0] * conditions.cell_count
 
     if conditions.is_empty_series():
-        return _RawResult(plan, 0, 0, per_cell, 0, Termination.EMPTY_SERIES)
+        return _RawResult(plan, per_cell, 0, Termination.EMPTY_SERIES)
 
-    seed_digit = plan.direct_sum_digits
-    finite_end = (
-        conditions.finite_digit_limit() if conditions.is_finite_series() else None
-    )
-    # Full sums of infinite series enumerate up to the seed and solve for the
-    # rest; every other run walks the digit lengths it needs.
-    solve = digit_limit is None and threshold is None and finite_end is None
     if digit_limit is not None:
-        limit = digit_limit
-    elif threshold is not None:
-        limit = plan.max_digit_length
-    else:
-        limit = seed_digit if solve else finite_end
-    if finite_end is not None:
-        limit = min(limit, finite_end)
-
-    requested_total = 0
-    at_most_total = 0
-    target = conditions.cell_count - 1
-    table = None
-    j_active = plan.max_power
-
-    def absorb(block_rows: list[int]) -> int:
-        nonlocal requested_total, at_most_total
-        requested_total += block_rows[target]
-        at_most_total += sum(block_rows)
-        for slot, value in enumerate(block_rows):
-            per_cell[slot] += value
-        return block_rows[target]
-
-    for i in range(1, limit + 1):
-        if i <= seed_digit:
-            seeds = i == seed_digit and (solve or limit > seed_digit)
-            table = direct_sum(conditions, i, plan.max_power if seeds else 1, plan)
-        else:
-            table, _, peaks = advance(table, conditions, j_active, plan)
-            while j_active > 2 and peaks[j_active - 1] == 0:
-                j_active -= 1
-        before = requested_total
-        block = absorb(table.rows[0])
-        if observer is not None:
-            observer(i, block, requested_total, j_active)
-
-        if threshold is not None:
-            if _quantized_fraction(requested_total, plan) >= threshold:
-                return _RawResult(
-                    plan,
-                    requested_total,
-                    at_most_total,
-                    per_cell,
-                    i,
-                    Termination.PARTIAL_REQUESTED,
-                    crossing_digit=i,
-                    before_crossing=before,
-                )
-
-    if solve:
-        # The solved sums include the seed block, which absorb already holds.
-        tail = solve_tail(table, conditions)
-        absorb([z - s for z, s in zip(tail, table.rows[0])])
-        termination = Termination.CONVERGED
-    elif digit_limit is not None or threshold is not None:
-        termination = Termination.PARTIAL_REQUESTED
-    else:
+        last, termination = digit_limit, Termination.PARTIAL_REQUESTED
+    elif conditions.is_finite_series():
+        last = conditions.finite_digit_limit()
         termination = Termination.FINITE_SERIES_EXHAUSTED
-    return _RawResult(
-        plan, requested_total, at_most_total, per_cell, limit, termination
-    )
+    else:
+        # Infinite series enumerate up to the seed and solve for the rest.
+        last, termination = plan.direct_sum_digits, Termination.CONVERGED
+
+    target = conditions.cell_count - 1
+    for length, table, j_active in _walk(conditions, plan, last):
+        block = table.rows[0]
+        for slot, value in enumerate(block):
+            per_cell[slot] += value
+        if observer is not None:
+            observer(length, block[target], per_cell[target], j_active)
+
+    if termination is Termination.CONVERGED:
+        # The solved sums include the seed block, which per_cell already holds.
+        tail = solve_tail(table, conditions)
+        for slot, (z, s) in enumerate(zip(tail, table.rows[0])):
+            per_cell[slot] += z - s
+    return _RawResult(plan, per_cell, length, termination)
 
 
 def _to_result(conditions: ConditionSet, raw: _RawResult) -> SumResult:
@@ -221,8 +197,8 @@ def _to_result(conditions: ConditionSet, raw: _RawResult) -> SumResult:
     return SumResult(
         conditions=conditions,
         decimals=decimals,
-        requested_sum=fixed_to_decimal(raw.requested, working, decimals),
-        at_most_sum=fixed_to_decimal(raw.at_most, working, decimals),
+        requested_sum=fixed_to_decimal(raw.per_cell[-1], working, decimals),
+        at_most_sum=fixed_to_decimal(sum(raw.per_cell), working, decimals),
         per_count_sums=per_count,
         per_cell_sums=per_cell,
         digits_processed=raw.digits_processed,
@@ -307,7 +283,7 @@ def threshold_search(
     plan = build_plan(conditions, decimals)
 
     total_raw = _compute(conditions, decimals, plan=plan)
-    total = _quantized_fraction(total_raw.requested, plan)
+    total = _quantized_fraction(total_raw.per_cell[-1], plan)
     if value > total:
         raise ThresholdAboveTotal(
             f"threshold {threshold} exceeds the series total {float(total):.6g}"
@@ -321,35 +297,35 @@ def threshold_search(
             "precision given; supply more threshold digits"
         )
 
-    crossing = _compute(conditions, decimals, threshold=value, plan=plan)
-    if crossing.crossing_digit is None:
+    target = conditions.cell_count - 1
+    running = 0
+    for digits_high, table, _ in _walk(conditions, plan, plan.max_digit_length):
+        before = running
+        running += table.rows[0][target]
+        if _quantized_fraction(running, plan) >= value:
+            break
+    else:
         raise InsufficientAccuracy(
             "partial sums never reached the threshold before convergence; "
             "supply more threshold digits"
         )
-    digits_high = crossing.crossing_digit
-    digits_low = digits_high - 1
     # A partial_sum run to either length gives these totals bit for bit: the
-    # seed's power-1 row and the shrunk powers do not depend on the limit.
-    sum_high = _quantized_fraction(crossing.requested, plan)
-    sum_low = _quantized_fraction(crossing.before_crossing, plan)
+    # seed's power-1 row and the dropped powers do not depend on the limit.
+    working = plan.working_decimals
+    sum_low = fixed_to_decimal(before, working, decimals)
+    sum_high = fixed_to_decimal(running, working, decimals)
     if not (sum_low < value <= sum_high):
         raise InsufficientAccuracy(
             "bracket could not be certified at working precision; "
             "supply more threshold digits"
         )
 
-    def as_decimal(q: Fraction) -> Decimal:
-        return fixed_to_decimal(
-            q.numerator * 10 ** decimals // q.denominator, decimals, decimals
-        )
-
     return ThresholdResult(
         conditions=conditions,
         decimals=decimals,
         threshold=value,
-        digits_low=digits_low,
-        sum_low=as_decimal(sum_low),
+        digits_low=digits_high - 1,
+        sum_low=sum_low,
         digits_high=digits_high,
-        sum_high=as_decimal(sum_high),
+        sum_high=sum_high,
     )

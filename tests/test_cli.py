@@ -130,6 +130,14 @@ class TestSumCommand:
         assert out == ""
         assert "table budget of 10" in err
 
+    def test_decimals_above_cap_exit_5(self, capsys):
+        code, out, err = run(
+            capsys, "sum", "--digits", "9", "--counts", "0", "--decimals", "1001"
+        )
+        assert code == 5
+        assert out == ""
+        assert "cap of 1000" in err
+
     def test_progress_lines_on_stderr(self, capsys):
         code, out, err = run(
             capsys, "sum", "--digits", "9", "--counts", "0", "-v", "3"

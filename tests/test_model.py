@@ -10,11 +10,13 @@ from irwinsums.model import (
     BaseOutOfRange,
     ConditionSet,
     DigitOutOfRange,
+    MAX_REQUESTED_DECIMALS,
     DuplicateDigit,
     NegativeCount,
     NoConditions,
     OutOfBounds,
     PrecisionPlan,
+    RangeTooLarge,
     TooManyConditions,
     ValidationError,
     clamp_decimals,
@@ -158,6 +160,11 @@ class TestPrecisionPlan:
             self.plan(requested_decimals=4)
         assert clamp_decimals(1) == 5
         assert clamp_decimals(15) == 15
+
+    def test_requested_maximum(self):
+        assert clamp_decimals(MAX_REQUESTED_DECIMALS) == MAX_REQUESTED_DECIMALS == 1000
+        with pytest.raises(RangeTooLarge, match="cap of 1000"):
+            clamp_decimals(1001)
 
     def test_digit_cap_floor(self):
         with pytest.raises(ValueError):

@@ -103,9 +103,7 @@ class TestAdvance:
     def test_zero_tables_propagate(self):
         c = ConditionSet.of([9, 3], [1, 1])
         plan = build_plan(c, 15)
-        empty = PowerSumTable(
-            c, 3, 4, plan.scale, [[0] * c.cell_count for _ in range(4)]
-        )
+        empty = PowerSumTable(plan.scale, [[0] * c.cell_count for _ in range(4)])
         table, peak, peaks = advance(empty, c, 4, plan)
         assert all(v == 0 for row in table.rows for v in row)
         assert peak == 0

@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import pytest
 
+import irwinsums.summation as summation
 from irwinsums.model import (
     ConditionSet,
     InsufficientAccuracy,
     PrecisionPlan,
+    RangeTooLarge,
     ThresholdAboveTotal,
 )
 from irwinsums.summation import (
@@ -161,6 +163,12 @@ class TestIrwinSum:
         assert r.decimals == 5
         assert r.requested_sum == Decimal("22.92068")
 
+    def test_decimals_above_cap_are_refused(self):
+        c = ConditionSet.of([9], [0])
+        with pytest.raises(RangeTooLarge):
+            irwin_sum(c, 1001)
+        assert build_plan(c, 1000).requested_decimals == 1000
+
 
 class TestAtMost:
     def test_distinct_digit_aggregate(self, ulp):
@@ -271,6 +279,28 @@ class TestThresholdSearch:
         assert (r.digits_low, r.digits_high) == (0, 1)
         assert r.sum_low == 0
         assert r.sum_high == Decimal("2.717857142857143")  # 761/280
+
+    def test_threshold_decimals_past_cap_are_refused(self):
+        # the search works 5 decimals past those the threshold states
+        with pytest.raises(RangeTooLarge):
+            threshold_search(
+                ConditionSet.of([9], [1]), "23", 15, threshold_decimals=996
+            )
+
+    def test_walk_cap_before_crossing(self, monkeypatch):
+        # the total comes from the solve; only the walk is cut short
+        monkeypatch.setattr(summation, "default_max_digit_length", lambda *_: 10)
+        with pytest.raises(InsufficientAccuracy, match="never reached"):
+            threshold_search(ConditionSet.of([9], [1]), "23")
+
+    def test_finite_series_crosses_at_its_last_length(self):
+        # pandigital denominators all have 10 digits: every shorter sum is 0
+        c = ConditionSet.of(list(range(10)), [1] * 10)
+        r = threshold_search(c, "0.0005")
+        assert (r.digits_low, r.digits_high) == (9, 10)
+        assert r.sum_low == 0
+        assert r.sum_high == partial_sum(c, 10, 15).requested_sum
+        assert r.sum_high == Decimal("0.000825890347919")
 
     def test_base2_example(self):
         r = threshold_search(ConditionSet.of([1], [1], base=2), "1.99", 15)
