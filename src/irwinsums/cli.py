@@ -65,7 +65,7 @@ def _add_common(parser: argparse.ArgumentParser, *, decimals_default: int = 15) 
     parser.add_argument(
         "--verbose", "-v", type=int, default=1, choices=range(0, 5),
         help="0 bare value, 1 standard report, 2 plan info, 3 per-digit-length "
-             "progress, 4 power-shrink detail (diagnostics on stderr)",
+             "progress, 4 progress with active powers (diagnostics on stderr)",
     )
     parser.add_argument("--output", help="also write the JSON report to this file")
 

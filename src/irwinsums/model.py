@@ -211,7 +211,6 @@ def direct_sum_digit_count(base: int) -> int:
     return t
 
 
-DEFAULT_GUARD_DECIMALS = 8
 MIN_REQUESTED_DECIMALS = 5
 # Past this the seed's power count and its integers grow until a run takes
 # minutes (no-9 on 2 vCPUs: about 3.5 s at 1000 decimals, 30 s at 2000).

@@ -28,13 +28,13 @@ DIRECT_ENUM_LIMIT = 10 ** 8
 class PowerSumTable:
     """Reciprocal power sums for one digit length, all occurrence vectors.
 
-    ``rows[j - 1][slot]`` is the fixed-point mantissa (at ``scale``) of the
-    power-``j`` sum for the occurrence vector with flat index ``slot``;
-    ``len(rows)`` is the number of powers held.  Tables are treated as
-    immutable once returned.
+    ``rows[j - 1][slot]`` is the fixed-point mantissa (at the plan's scale) of
+    the power-``j`` sum over ``digit_length``-digit denominators for the
+    occurrence vector with flat index ``slot``; ``len(rows)`` is the number of
+    powers held.  Tables are treated as immutable once returned.
     """
 
-    scale: int
+    digit_length: int
     rows: list[list[int]]
 
 
@@ -113,7 +113,7 @@ def direct_sum(
                 break
             row[slot] += term
             xj *= x
-    return PowerSumTable(scale, rows)
+    return PowerSumTable(digit_length, rows)
 
 
 def _tail_below(a: int, b: int, power: int, decimals: int) -> bool:

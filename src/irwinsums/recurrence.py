@@ -22,6 +22,9 @@ by back-substitution instead of walking the lengths one by one.
 One row kernel, ``_fill_row``, computes every cell of both: ``advance`` fills
 the next length's rows from the previous ones, and ``solve_tail`` fills the
 unknown rows from the seed and the rows it has already solved.
+
+A step fills only the cells its length can reach: an i-digit integer has at
+most i constrained digits, and exactly i when every digit is constrained.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from .fixedpoint import div_nearest, div_toward_zero
-from .model import ConditionSet, PrecisionPlan, occurrence_vector
+from .model import ConditionSet, PrecisionPlan
 from .powersums import PowerSumTable, digit_power_sum
 
 
@@ -43,20 +46,20 @@ def expansion_coefficient(base: int, power: int, n: int) -> Fraction:
 
 
 @lru_cache(maxsize=32)
-def _decrement_slots(conditions: ConditionSet) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per flat slot, the (condition position, slot with that count - 1) pairs."""
-    strides = conditions.strides
-    table = []
+def _slot_layout(conditions: ConditionSet) -> tuple[tuple, tuple[int, ...]]:
+    """Per flat slot: its (condition, slot with that count - 1) pairs, and |k|."""
+    radices = tuple(enumerate(zip(conditions.counts, conditions.strides)))
+    neighbors, weights = [], []
     for slot in range(conditions.cell_count):
-        vector = occurrence_vector(slot, conditions)
-        table.append(
-            tuple(
-                (c, slot - strides[c])
-                for c, k in enumerate(vector)
-                if k > 0
-            )
-        )
-    return tuple(table)
+        rest, total, pairs = slot, 0, []
+        for c, (n, stride) in radices:
+            rest, k = divmod(rest, n + 1)
+            if k:
+                total += k
+                pairs.append((c, slot - stride))
+        neighbors.append(tuple(pairs))
+        weights.append(total)
+    return tuple(neighbors), tuple(weights)
 
 
 def expansion_terms(
@@ -131,43 +134,39 @@ def advance(
     j_active: int,
     plan: PrecisionPlan,
 ) -> tuple[PowerSumTable, int, list[int]]:
-    """One recurrence step: build the table for the next digit length.
+    """One recurrence step: build the table for the next digit length i + 1.
 
-    Returns the new table (powers 1..j_active), the largest |mantissa| in it,
-    and the largest |mantissa| per power row (index j - 1).  Rows j..J read
-    only rows j..J, so once a row's peak and every higher row's peak are 0,
-    those rows stay exactly 0 at every later digit length.
+    Only slots with |k| <= i + 1 are computed, and for a finite series only
+    those with |k| = i + 1 (no unconstrained digit, so a cell never reads
+    itself); every other slot would read exact zeros.  Returns the new table
+    (powers 1..j_active), the largest |mantissa| in it, and the largest
+    |mantissa| per power row (index j - 1).  Rows j..J read only rows j..J, so
+    once a row's peak and every higher row's peak are 0, those rows stay
+    exactly 0 at every later digit length.  ``plan`` is not read (mantissas
+    keep the table's scale); it stays so that existing callers keep working.
     """
     if len(table.rows) < j_active:
         raise ValueError(
             f"table holds {len(table.rows)} powers, {j_active} required"
         )
-    cells = conditions.cell_count
+    neighbors, weights = _slot_layout(conditions)
+    length = table.digit_length + 1
+    low = length if conditions.is_finite_series() else 0
+    targets = [slot for slot, w in enumerate(weights) if low <= w <= length]
+
     rows_prev = table.rows
-    neighbors = _decrement_slots(conditions)
-
-    # Skip target cells whose sources are all zero; they stay exactly zero.
-    col_nonzero = [
-        any(rows_prev[j2][slot] for j2 in range(j_active)) for slot in range(cells)
-    ]
-    targets = [
-        slot
-        for slot in range(cells)
-        if col_nonzero[slot] or any(col_nonzero[s2] for _, s2 in neighbors[slot])
-    ]
-
     divisor = conditions.base ** j_active
     new_rows: list[list[int]] = [[]] * j_active
     peaks = [0] * j_active
     for j, coeffs in expansion_terms(conditions, j_active):
-        row = [0] * cells
+        row = [0] * len(weights)
         _fill_row(
             row, row, rows_prev[j - 1 :], coeffs, neighbors, targets,
             divisor, div_toward_zero,
         )
         new_rows[j - 1] = row
         peaks[j - 1] = max(max(row), -min(row))
-    return PowerSumTable(plan.scale, new_rows), max(peaks, default=0), peaks
+    return PowerSumTable(length, new_rows), max(peaks, default=0), peaks
 
 
 def solve_tail(seed: PowerSumTable, conditions: ConditionSet) -> list[int]:
@@ -185,7 +184,7 @@ def solve_tail(seed: PowerSumTable, conditions: ConditionSet) -> list[int]:
     """
     j_max = len(seed.rows)
     cells = range(conditions.cell_count)
-    neighbors = _decrement_slots(conditions)
+    neighbors, _ = _slot_layout(conditions)
     scaled = conditions.base ** j_max
     z = [[0] * conditions.cell_count for _ in range(j_max)]
     for j, coeffs in expansion_terms(conditions, j_max):

@@ -15,6 +15,7 @@ import enum
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import accumulate, chain, islice
 from typing import Callable, Iterator, Optional, Union
 
 from .fixedpoint import div_nearest, fixed_to_decimal, parse_exact_decimal
@@ -151,8 +152,10 @@ def _compute(
     digit_limit: Optional[int] = None,
     plan: Optional[PrecisionPlan] = None,
     observer: Optional[BlockObserver] = None,
+    walk: Optional[Iterator[tuple[int, PowerSumTable, int]]] = None,
 ) -> _RawResult:
-    """Run the engine; see the public wrappers for the result contracts."""
+    """Run the engine; see the public wrappers for the result contracts.  A
+    ``walk`` passed in is consumed only through the run's last length."""
     plan = plan or build_plan(conditions, requested_decimals)
     if conditions.cell_count * plan.max_power > TABLE_CELL_LIMIT:
         raise RangeTooLarge(
@@ -174,7 +177,7 @@ def _compute(
         last, termination = plan.direct_sum_digits, Termination.CONVERGED
 
     target = conditions.cell_count - 1
-    for length, table, j_active in _walk(conditions, plan, last):
+    for length, table, j_active in islice(walk or _walk(conditions, plan, last), last):
         block = table.rows[0]
         for slot, value in enumerate(block):
             per_cell[slot] += value
@@ -273,6 +276,8 @@ def threshold_search(
         value, textual_decimals = parse_exact_decimal(threshold)
     if value <= 0:
         raise ValueError("threshold must be positive")
+    if threshold_decimals is not None and threshold_decimals < 0:
+        raise ValueError("threshold_decimals must be >= 0")
     known_decimals = (
         threshold_decimals if threshold_decimals is not None else textual_decimals
     )
@@ -282,7 +287,14 @@ def threshold_search(
         decimals = max(decimals, known_decimals + 5)
     plan = build_plan(conditions, decimals)
 
-    total_raw = _compute(conditions, decimals, plan=plan)
+    # One walk, long enough for the cap and a finite series' end, gives the
+    # total and goes on to the crossing.  sums[i - 1]: the sum through length i.
+    walk = _walk(conditions, plan, max(plan.max_digit_length, sum(conditions.counts)))
+    sums: list[int] = []
+    total_raw = _compute(
+        conditions, decimals, plan=plan, walk=walk,
+        observer=lambda length, block, total, j_active: sums.append(total),
+    )
     total = _quantized_fraction(total_raw.per_cell[-1], plan)
     if value > total:
         raise ThresholdAboveTotal(
@@ -297,13 +309,15 @@ def threshold_search(
             "precision given; supply more threshold digits"
         )
 
-    target = conditions.cell_count - 1
-    running = 0
-    for digits_high, table, _ in _walk(conditions, plan, plan.max_digit_length):
-        before = running
-        running += table.rows[0][target]
+    # The walk goes on from the last kept sum, which ``later`` yields first.
+    later = accumulate((t.rows[0][-1] for _, t, _ in walk), initial=sums.pop())
+    before = 0
+    for digits_high, running in enumerate(
+        islice(chain(sums, later), plan.max_digit_length), 1
+    ):
         if _quantized_fraction(running, plan) >= value:
             break
+        before = running
     else:
         raise InsufficientAccuracy(
             "partial sums never reached the threshold before convergence; "

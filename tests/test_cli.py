@@ -234,6 +234,15 @@ class TestThresholdCommand:
         assert code == 3
         assert "exceeds" in err
 
+    def test_negative_threshold_decimals_exit_2(self, capsys):
+        code, _, err = run(
+            capsys,
+            "threshold", "--digits", "9", "--counts", "1", "--threshold", "23",
+            "--threshold-decimals", "-1",
+        )
+        assert code == 2
+        assert err == "error: threshold_decimals must be >= 0\n"
+
 
 class TestTableCommand:
     def test_single_row_grouped(self, capsys):

@@ -1,5 +1,6 @@
-"""Recurrence step: expansion coefficients, table advancement, and the walk
-dropping powers whose rows have become all zero."""
+"""Recurrence step: expansion coefficients, table advancement over the cells a
+digit length can reach, and the walk dropping powers whose rows have become
+all zero."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import irwinsums.recurrence as recurrence
 from irwinsums.model import ConditionSet, PrecisionPlan
 from irwinsums.oracle import block_cell_sums
 from irwinsums.powersums import PowerSumTable, digit_power_sum, direct_sum
@@ -103,7 +105,7 @@ class TestAdvance:
     def test_zero_tables_propagate(self):
         c = ConditionSet.of([9, 3], [1, 1])
         plan = build_plan(c, 15)
-        empty = PowerSumTable(plan.scale, [[0] * c.cell_count for _ in range(4)])
+        empty = PowerSumTable(3, [[0] * c.cell_count for _ in range(4)])
         table, peak, peaks = advance(empty, c, 4, plan)
         assert all(v == 0 for row in table.rows for v in row)
         assert peak == 0
@@ -152,6 +154,44 @@ class TestAdvance:
         _, peak, peaks = advance(table, c, plan.max_power, plan)
         assert peak == peaks[0] > 0
         assert all(peaks[j] >= peaks[j + 1] for j in range(len(peaks) - 1))
+
+
+def step_tables(conditions, last, powers=4):
+    """Tables for digit lengths 1..last: enumerate length 1, then advance."""
+    plan = build_plan(conditions, 15)
+    tables = [direct_sum(conditions, 1, powers, plan)]
+    while len(tables) < last:
+        tables.append(advance(tables[-1], conditions, powers, plan)[0])
+    return tables
+
+
+class TestActiveSet:
+    @pytest.mark.parametrize(
+        "digits,counts,base,last",
+        [
+            (list(range(10)), [1] * 10, 10, 10),
+            ([0, 1, 2], [2, 2, 2], 3, 8),
+            ([0], [10], 10, 30),
+            ([9, 3], [2, 1], 10, 12),
+            ([1, 2, 3, 4, 5], [1, 2, 3, 4, 5], 10, 17),
+            ([1], [3], 2, 12),
+        ],
+    )
+    def test_unreached_slots_are_exact_zeros(
+        self, monkeypatch, digits, counts, base, last
+    ):
+        # stepping only the slots with |k| <= i + 1 (|k| = i + 1 for a finite
+        # series) gives the same integers as stepping every slot
+        c = ConditionSet.of(digits, counts, base=base)
+        reached = step_tables(c, last)
+        neighbors, weights = recurrence._slot_layout(c)
+        monkeypatch.setattr(
+            recurrence, "_slot_layout", lambda _: (neighbors, (0,) * len(weights))
+        )
+        monkeypatch.setattr(ConditionSet, "is_finite_series", lambda self: False)
+        every = step_tables(c, last)
+        assert [t.rows for t in reached] == [t.rows for t in every]
+        assert [t.digit_length for t in reached] == list(range(1, last + 1))
 
 
 def walk_totals(conditions, digit_limit, plan):

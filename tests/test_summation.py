@@ -313,3 +313,24 @@ class TestThresholdSearch:
             threshold_search(ConditionSet.of([9], [1]), "0", 15)
         with pytest.raises(ValueError):
             threshold_search(ConditionSet.of([9], [1]), "-1.5", 15)
+        with pytest.raises(ValueError, match="threshold_decimals must be >= 0"):
+            threshold_search(ConditionSet.of([9], [1]), "23", 15, threshold_decimals=-1)
+
+    @pytest.mark.parametrize(
+        "digits,counts,threshold,bracket",
+        [([9], [1], "23", (80, 81)), (list(range(10)), [1] * 10, "0.0005", (9, 10))],
+    )
+    def test_engine_starts_once(self, monkeypatch, digits, counts, threshold, bracket):
+        # the total and the crossing share one walk: length 1 is enumerated once
+        starts = []
+        direct_sum = summation.direct_sum
+
+        def counting(conditions, digit_length, *args):
+            if digit_length == 1:
+                starts.append(digit_length)
+            return direct_sum(conditions, digit_length, *args)
+
+        monkeypatch.setattr(summation, "direct_sum", counting)
+        r = threshold_search(ConditionSet.of(digits, counts), threshold)
+        assert (r.digits_low, r.digits_high) == bracket
+        assert starts == [1]
