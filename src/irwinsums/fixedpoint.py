@@ -9,7 +9,6 @@ explicit division, and results are bit-reproducible.  Values only become
 
 from __future__ import annotations
 
-import decimal
 from decimal import Decimal
 from fractions import Fraction
 
@@ -39,13 +38,8 @@ def fixed_to_decimal(mantissa: int, scale: int, decimals: int) -> Decimal:
     """Quantize a scaled integer to ``decimals`` places, half-even."""
     if decimals > scale:
         raise ValueError(f"cannot widen scale {scale} to {decimals} decimals")
-    rounded = div_nearest(mantissa, 10 ** (scale - decimals))
-    digits = len(str(abs(rounded))) + decimals + 5
-    with decimal.localcontext() as ctx:
-        ctx.prec = max(digits, 28)
-        return Decimal(rounded).scaleb(-decimals).quantize(
-            Decimal(1).scaleb(-decimals), rounding=decimal.ROUND_HALF_EVEN
-        )
+    # Decimal() reads text exactly, whatever the context's precision.
+    return Decimal(f"{div_nearest(mantissa, 10 ** (scale - decimals))}E-{decimals}")
 
 
 def parse_exact_decimal(text: str) -> tuple[Fraction, int | None]:

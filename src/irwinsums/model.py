@@ -243,10 +243,6 @@ class PrecisionPlan:
             raise ValueError("max_digit_length must exceed direct_sum_digits")
         object.__setattr__(self, "scale", 10 ** self.working_decimals)
 
-    @property
-    def guard_decimals(self) -> int:
-        return self.working_decimals - self.requested_decimals
-
 
 def clamp_decimals(requested_decimals: int) -> int:
     """Raise small requests to the minimum; refuse those above the cap."""

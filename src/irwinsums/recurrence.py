@@ -81,13 +81,15 @@ def expansion_terms(
     for j in range(j_active, 0, -1):
         nmax = j_active - j
         base_pow = base ** nmax
+        binom = 1  # C(j+n-1, n), carried from n to n + 1
         coeffs = []
         for n in range(nmax + 1):
-            signed = math.comb(j + n - 1, n) * base_pow
+            signed = binom * base_pow
             if n & 1:
                 signed = -signed
             coeffs.append((signed * bn[n], tuple(signed * row[n] for row in dpow)))
             base_pow //= base
+            binom = binom * (j + n) // (n + 1)
         yield j, coeffs
 
 

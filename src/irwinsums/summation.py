@@ -3,10 +3,12 @@
 Every run consumes one walk over digit lengths, ``_walk``: blocks short
 enough to enumerate are summed directly, the last of them is the seed of the
 power-sum recurrence, and the recurrence carries the tables on from there.
+The walk also carries the running sums, per cell, of every block so far.
 Its callers only choose where to stop: a partial sum at its digit limit, a
 threshold search at the crossing, a finite series at its longest
 denominator, and a full sum of an infinite series at the seed, followed by
-one back-substitution that solves for every block from the seed on.
+one back-substitution that solves for every block from the seed on.  Every
+run ends in one quantization, in ``_compute``.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ import enum
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import accumulate, chain, islice
+from itertools import chain, compress, count, islice
 from typing import Callable, Iterator, Optional, Union
 
-from .fixedpoint import div_nearest, fixed_to_decimal, parse_exact_decimal
+from .fixedpoint import fixed_to_decimal, parse_exact_decimal
 from .model import (
     ConditionSet,
     InsufficientAccuracy,
@@ -87,9 +89,10 @@ block and total are fixed-point mantissas at the plan's working scale."""
 def build_plan(conditions: ConditionSet, requested_decimals: int) -> PrecisionPlan:
     """Assemble the precision plan for one run.
 
-    Large occurrence counts mean many thousands of digit-length iterations
-    whose truncation deficits accumulate, so such runs carry extra guard
-    decimals.
+    Runs with an occurrence count above 10 carry 12 guard decimals instead
+    of 8.  The rule is a heuristic, not a bound; it stays because it fixes
+    the working digits of every existing result, until an error bound
+    replaces it.
     """
     decimals = clamp_decimals(requested_decimals)
     ds_digits = direct_sum_digit_count(conditions.base)
@@ -103,38 +106,25 @@ def build_plan(conditions: ConditionSet, requested_decimals: int) -> PrecisionPl
     )
 
 
-@dataclass
-class _RawResult:
-    plan: PrecisionPlan
-    per_cell: list[int]
-    digits_processed: int
-    termination: Termination
-
-
-def _quantized_fraction(mantissa: int, plan: PrecisionPlan) -> Fraction:
-    """The run total as seen at requested precision (for threshold tests)."""
-    decimals = plan.requested_decimals
-    return Fraction(
-        div_nearest(mantissa, 10 ** (plan.working_decimals - decimals)),
-        10 ** decimals,
-    )
-
-
 def _walk(
-    conditions: ConditionSet, plan: PrecisionPlan, last: int
-) -> Iterator[tuple[int, PowerSumTable, int]]:
-    """Yield ``(digit_length, table, j_active)`` for lengths 1..last.
+    conditions: ConditionSet, plan: PrecisionPlan
+) -> Iterator[tuple[int, PowerSumTable, int, list[int]]]:
+    """Yield ``(digit_length, table, j_active, sums)`` from length 1 on.
 
     Lengths below the seed are enumerated for their power-1 row only; the
     seed is enumerated with every power, and later lengths step the
-    recurrence, dropping the top power while its row reads exactly 0.  Finite
-    series stop at their longest denominator.
+    recurrence, dropping the top power while its row reads exactly 0.
+    ``sums`` is one list, updated in place: per cell, the sum of every block
+    through ``digit_length``.  Only a block's nonzero cells are added; a
+    finite series' block at length i is nonzero only where |k| = i, and the
+    series stops at its longest denominator.  Callers slice infinite walks.
     """
-    if conditions.is_finite_series():
-        last = min(last, conditions.finite_digit_limit())
+    finite = conditions.is_finite_series()
+    lengths = range(1, conditions.finite_digit_limit() + 1) if finite else count(1)
     seed_digit = plan.direct_sum_digits
     j_active = plan.max_power
-    for i in range(1, last + 1):
+    sums = [0] * conditions.cell_count
+    for i in lengths:
         if i <= seed_digit:
             powers = plan.max_power if i == seed_digit else 1
             table = direct_sum(conditions, i, powers, plan)
@@ -142,7 +132,10 @@ def _walk(
             table, _, peaks = advance(table, conditions, j_active, plan)
             while j_active > 2 and peaks[j_active - 1] == 0:
                 j_active -= 1
-        yield i, table, j_active
+        block = table.rows[0]
+        for slot in compress(range(len(block)), block):
+            sums[slot] += block[slot]
+        yield i, table, j_active, sums
 
 
 def _compute(
@@ -152,8 +145,8 @@ def _compute(
     digit_limit: Optional[int] = None,
     plan: Optional[PrecisionPlan] = None,
     observer: Optional[BlockObserver] = None,
-    walk: Optional[Iterator[tuple[int, PowerSumTable, int]]] = None,
-) -> _RawResult:
+    walk: Optional[Iterator[tuple[int, PowerSumTable, int, list[int]]]] = None,
+) -> SumResult:
     """Run the engine; see the public wrappers for the result contracts.  A
     ``walk`` passed in is consumed only through the run's last length."""
     plan = plan or build_plan(conditions, requested_decimals)
@@ -162,12 +155,10 @@ def _compute(
             f"{conditions.cell_count} cells x {plan.max_power} powers exceed "
             f"the table budget of {TABLE_CELL_LIMIT}"
         )
-    per_cell = [0] * conditions.cell_count
 
     if conditions.is_empty_series():
-        return _RawResult(plan, per_cell, 0, Termination.EMPTY_SERIES)
-
-    if digit_limit is not None:
+        last, termination = 0, Termination.EMPTY_SERIES
+    elif digit_limit is not None:
         last, termination = digit_limit, Termination.PARTIAL_REQUESTED
     elif conditions.is_finite_series():
         last = conditions.finite_digit_limit()
@@ -176,36 +167,27 @@ def _compute(
         # Infinite series enumerate up to the seed and solve for the rest.
         last, termination = plan.direct_sum_digits, Termination.CONVERGED
 
-    target = conditions.cell_count - 1
-    for length, table, j_active in islice(walk or _walk(conditions, plan, last), last):
-        block = table.rows[0]
-        for slot, value in enumerate(block):
-            per_cell[slot] += value
+    length, sums = 0, [0] * conditions.cell_count
+    for length, table, j_active, sums in islice(walk or _walk(conditions, plan), last):
         if observer is not None:
-            observer(length, block[target], per_cell[target], j_active)
+            observer(length, table.rows[0][-1], sums[-1], j_active)
 
     if termination is Termination.CONVERGED:
-        # The solved sums include the seed block, which per_cell already holds.
+        # The solved sums include the seed block, which sums already holds.
         tail = solve_tail(table, conditions)
-        for slot, (z, s) in enumerate(zip(tail, table.rows[0])):
-            per_cell[slot] += z - s
-    return _RawResult(plan, per_cell, length, termination)
+        sums = [total + z - s for total, z, s in zip(sums, tail, table.rows[0])]
 
-
-def _to_result(conditions: ConditionSet, raw: _RawResult) -> SumResult:
-    decimals = raw.plan.requested_decimals
-    working = raw.plan.working_decimals
-    per_cell = tuple(fixed_to_decimal(v, working, decimals) for v in raw.per_cell)
-    per_count = per_cell if conditions.num_conditions == 1 else None
+    decimals, working = plan.requested_decimals, plan.working_decimals
+    per_cell = tuple(fixed_to_decimal(v, working, decimals) for v in sums)
     return SumResult(
         conditions=conditions,
         decimals=decimals,
-        requested_sum=fixed_to_decimal(raw.per_cell[-1], working, decimals),
-        at_most_sum=fixed_to_decimal(sum(raw.per_cell), working, decimals),
-        per_count_sums=per_count,
+        requested_sum=per_cell[-1],
+        at_most_sum=fixed_to_decimal(sum(sums), working, decimals),
+        per_count_sums=per_cell if conditions.num_conditions == 1 else None,
         per_cell_sums=per_cell,
-        digits_processed=raw.digits_processed,
-        termination=raw.termination,
+        digits_processed=length,
+        termination=termination,
     )
 
 
@@ -218,8 +200,7 @@ def irwin_sum(
 ) -> SumResult:
     """Sum 1/n over integers whose constrained digits each occur exactly
     their prescribed number of times, to ``requested_decimals`` places."""
-    raw = _compute(conditions, requested_decimals, plan=plan, observer=observer)
-    return _to_result(conditions, raw)
+    return _compute(conditions, requested_decimals, plan=plan, observer=observer)
 
 
 def at_most_sum(conditions: ConditionSet, requested_decimals: int = 15) -> Decimal:
@@ -239,14 +220,10 @@ def partial_sum(
     """Sum restricted to denominators below base**digit_limit."""
     if digit_limit < 1:
         raise ValueError("digit_limit must be >= 1")
-    raw = _compute(
-        conditions,
-        requested_decimals,
-        digit_limit=digit_limit,
-        plan=plan,
+    return _compute(
+        conditions, requested_decimals, digit_limit=digit_limit, plan=plan,
         observer=observer,
     )
-    return _to_result(conditions, raw)
 
 
 def threshold_search(
@@ -287,15 +264,14 @@ def threshold_search(
         decimals = max(decimals, known_decimals + 5)
     plan = build_plan(conditions, decimals)
 
-    # One walk, long enough for the cap and a finite series' end, gives the
-    # total and goes on to the crossing.  sums[i - 1]: the sum through length i.
-    walk = _walk(conditions, plan, max(plan.max_digit_length, sum(conditions.counts)))
+    # One walk gives the total and goes on to the crossing.  sums[i - 1]: the
+    # requested cell's sum through length i.
+    walk = _walk(conditions, plan)
     sums: list[int] = []
-    total_raw = _compute(
+    total = Fraction(_compute(
         conditions, decimals, plan=plan, walk=walk,
         observer=lambda length, block, total, j_active: sums.append(total),
-    )
-    total = _quantized_fraction(total_raw.per_cell[-1], plan)
+    ).requested_sum)
     if value > total:
         raise ThresholdAboveTotal(
             f"threshold {threshold} exceeds the series total {float(total):.6g}"
@@ -309,25 +285,23 @@ def threshold_search(
             "precision given; supply more threshold digits"
         )
 
-    # The walk goes on from the last kept sum, which ``later`` yields first.
-    later = accumulate((t.rows[0][-1] for _, t, _ in walk), initial=sums.pop())
-    before = 0
+    # The walk goes on from the length after the last kept sum.  A
+    # partial_sum run to either length gives these totals bit for bit: the
+    # seed's power-1 row and the dropped powers do not depend on the limit.
+    later = (s[-1] for *_, s in walk)
+    working = plan.working_decimals
+    sum_high = fixed_to_decimal(0, working, decimals)
     for digits_high, running in enumerate(
         islice(chain(sums, later), plan.max_digit_length), 1
     ):
-        if _quantized_fraction(running, plan) >= value:
+        sum_low, sum_high = sum_high, fixed_to_decimal(running, working, decimals)
+        if sum_high >= value:
             break
-        before = running
     else:
         raise InsufficientAccuracy(
             "partial sums never reached the threshold before convergence; "
             "supply more threshold digits"
         )
-    # A partial_sum run to either length gives these totals bit for bit: the
-    # seed's power-1 row and the dropped powers do not depend on the limit.
-    working = plan.working_decimals
-    sum_low = fixed_to_decimal(before, working, decimals)
-    sum_high = fixed_to_decimal(running, working, decimals)
     if not (sum_low < value <= sum_high):
         raise InsufficientAccuracy(
             "bracket could not be certified at working precision; "

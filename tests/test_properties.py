@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from decimal import Decimal
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -134,3 +134,19 @@ def test_fixed_to_decimal_half_even():
     assert fixed_to_decimal(35, 3, 2) == Decimal("0.04")
     assert fixed_to_decimal(251, 4, 2) == Decimal("0.03")
     assert fixed_to_decimal(-25, 3, 2) == Decimal("-0.02")
+    # `==` cannot see the exponent (Decimal("0E-15") == 0); compare tuples with
+    # an exact quantize in a context wide enough for every input
+    for mantissa, scale, decimals in [
+        (25, 3, 2), (35, 3, 2), (-25, 3, 2), (0, 23, 15), (0, 3, 0), (-6, 3, 2),
+        (1500, 3, 0), (2500, 3, 0), (-2500, 3, 0), (10 ** 60 + 5, 30, 29),
+        (-(7 * 10 ** 1010) - 5, 1012, 1000), (123456789, 0, 0),
+    ]:
+        with localcontext() as ctx:
+            ctx.prec = 2100
+            want = Decimal(mantissa).scaleb(-scale).quantize(
+                Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_EVEN
+            )
+        got = fixed_to_decimal(mantissa, scale, decimals)
+        assert got.as_tuple() == want.as_tuple(), (mantissa, scale, decimals)
+    # the rounded mantissa is an int, which has no negative zero
+    assert fixed_to_decimal(-1, 3, 2).as_tuple() == Decimal("0.00").as_tuple()

@@ -46,9 +46,11 @@ class TestExpansionCoefficient:
     def test_integer_terms_match_coefficients(self):
         # the shared integer terms are the coefficients over base**j_active,
         # weighted by the unconstrained digits' power sums and by d**n
-        for digits, counts, base in [([9, 3], [2, 1], 10), ([0], [1], 2), ([2], [0], 3)]:
+        for digits, counts, base, j_active in [
+            ([9, 3], [2, 1], 10, 7), ([0], [1], 2, 7), ([2], [0], 3, 7),
+            ([9, 3], [2, 1], 10, 60),
+        ]:
             c = ConditionSet.of(digits, counts, base=base)
-            j_active = 7
             terms = list(expansion_terms(c, j_active))
             assert [j for j, _ in terms] == list(range(j_active, 0, -1))
             for j, coeffs in terms:
