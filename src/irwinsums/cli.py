@@ -130,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_oracle.add_argument(
         "--threads", type=int, default=1,
-        help="worker processes for the brute-force enumeration",
+        help="worker processes for the brute-force enumeration (at least 1; "
+        "at most one per million integers enumerated)",
     )
     _add_common(p_oracle)
     return parser
@@ -340,6 +341,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     conditions = _conditions(args)
+    if args.threads < 1:
+        print(f"--threads must be at least 1, got {args.threads}", file=sys.stderr)
+        return EXIT_INVALID
     value = oracle_mod.brute_force_sum(
         conditions, args.limit, mode=args.mode, decimals=args.decimals, jobs=args.threads
     )

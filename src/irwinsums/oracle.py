@@ -5,6 +5,15 @@ closed forms in base 2) and shares nothing with the engine beyond the
 condition-set type: digit occurrences are counted through string conversion
 rather than the engine's arithmetic digit walk, and accumulation is exact
 rational below a size threshold.
+
+Enumeration counts digits once per chunk rather than once per integer.  With
+W = base**t the smallest power of the base that is at least 1000, an integer
+n = q*W + r has the digits of q followed by the digits of r zero-padded to t
+places.  The padded residues r < W are counted once per call and grouped by
+occurrence vector; each whole chunk then counts the digits of q once and adds
+that prefix to every group's vector, which decides the whole group.  Integers
+below W and the partial chunks at either end of a range are counted one by
+one.  Only the per-integer term (one division or one ``Fraction``) remains.
 """
 
 from __future__ import annotations
@@ -12,12 +21,15 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
+from operator import add, le, mul
 
 from .fixedpoint import div_nearest, fixed_to_decimal
 from .model import ConditionSet, LimitTooLarge
 
 ENUMERATION_BUDGET = 10 ** 8
 EXACT_RATIONAL_LIMIT = 10 ** 6
+_MIN_CHUNK_WIDTH = 1000
 
 _MODES = ("exact", "at-most")
 
@@ -34,13 +46,60 @@ def _digit_string(n: int, base: int) -> str:
     return "".join(reversed(chars))
 
 
-def _qualifies(n: int, conditions: ConditionSet, exact: bool) -> bool:
-    text = _digit_string(n, conditions.base)
-    for digit, bound in conditions.conditions:
-        occurrences = text.count(chr(ord("0") + digit))
-        if occurrences > bound or (exact and occurrences != bound):
-            return False
-    return True
+def _chunk_places(base: int) -> tuple[int, int]:
+    """The smallest t with base**t >= 1000, and that chunk width base**t."""
+    places, width = 1, base
+    while width < _MIN_CHUNK_WIDTH:
+        places += 1
+        width *= base
+    return places, width
+
+
+def _occurrence_runs(conditions: ConditionSet, start: int, stop: int):
+    """Yield ``(vector, integers)`` pairs that cover every n in [start, stop)
+    whose occurrence vector (the count of each condition digit in n) is within
+    the bounds ``conditions.counts``; ``integers`` iterates the n with that
+    vector in one chunk, or holds a single edge integer."""
+    base = conditions.base
+    bounds = conditions.counts
+    chars = [chr(ord("0") + d) for d in conditions.digits]
+
+    def occurrences(text: str) -> tuple[int, ...]:
+        return tuple([text.count(ch) for ch in chars])
+
+    def one_by_one(lo: int, hi: int):
+        for n in range(lo, hi):
+            vector = occurrences(_digit_string(n, base))
+            if all(map(le, vector, bounds)):
+                yield vector, (n,)
+
+    places, width = _chunk_places(base)
+    # whole chunks are q in [first, last); q = 0 never is one, because
+    # integers below W have no padding zeros
+    first = max(-(-start // width), 1)
+    last = stop // width
+    if first >= last:
+        yield from one_by_one(start, stop)
+        return
+
+    # a residue vector above a bound stays above it whatever the prefix
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for r in range(width):
+        vector = occurrences(_digit_string(r, base).rjust(places, "0"))
+        if all(map(le, vector, bounds)):
+            groups.setdefault(vector, []).append(r)
+
+    yield from one_by_one(start, first * width)
+    for q in range(first, last):
+        prefix = occurrences(_digit_string(q, base))
+        if not all(map(le, prefix, bounds)):
+            continue
+        offset = q * width
+        for residue_vector, residues in groups.items():
+            vector = tuple(map(add, prefix, residue_vector))
+            if all(map(le, vector, bounds)):
+                yield vector, map(offset.__add__, residues)
+    yield from one_by_one(last * width, stop)
 
 
 def _check_mode(mode: str) -> bool:
@@ -68,8 +127,12 @@ def brute_force_fraction(conditions: ConditionSet, limit: int, mode: str = "exac
         raise LimitTooLarge(
             f"limit {limit} exceeds the exact-rational budget {EXACT_RATIONAL_LIMIT}"
         )
+    target = conditions.counts
     parts = [
-        Fraction(1, n) for n in range(1, limit) if _qualifies(n, conditions, exact)
+        Fraction(1, n)
+        for vector, integers in _occurrence_runs(conditions, 1, limit)
+        if not exact or vector == target
+        for n in integers
     ]
     return _tree_sum(parts)
 
@@ -77,11 +140,13 @@ def brute_force_fraction(conditions: ConditionSet, limit: int, mode: str = "exac
 def _chunk_mantissa_sum(
     conditions: ConditionSet, start: int, stop: int, exact: bool, scale: int
 ) -> int:
-    total = 0
-    for n in range(start, stop):
-        if _qualifies(n, conditions, exact):
-            total += div_nearest(scale, n)
-    return total
+    target = conditions.counts
+    term = partial(div_nearest, scale)
+    return sum(
+        sum(map(term, integers))
+        for vector, integers in _occurrence_runs(conditions, start, stop)
+        if not exact or vector == target
+    )
 
 
 def brute_force_sum(
@@ -94,11 +159,18 @@ def brute_force_sum(
     """Sum 1/n over qualifying n < limit by enumeration.
 
     Exact rational accumulation up to 10**6; scaled-integer accumulation with
-    ten spare decimals beyond that.  ``jobs > 1`` splits the range across
-    processes; integer partial sums make the reduction order irrelevant, so
-    the result is identical to a serial run.
+    ten spare decimals beyond that.  Digits are counted once per chunk of
+    ``base**t >= 1000`` integers, and one by one only below the first chunk
+    and in a partial chunk at the top of the range (see the module
+    docstring).  ``jobs > 1`` splits the range into spans that start and end
+    on chunk boundaries and sums them in at most ``jobs`` processes, one per
+    span at most; integer partial sums make the reduction order irrelevant,
+    so the result is identical to a serial run.  ``jobs < 1`` raises
+    ``ValueError``.
     """
     exact = _check_mode(mode)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if limit > ENUMERATION_BUDGET:
         raise LimitTooLarge(
             f"limit {limit} exceeds the enumeration budget {ENUMERATION_BUDGET}"
@@ -110,9 +182,12 @@ def brute_force_sum(
 
     scale = 10 ** (decimals + 10)
     if jobs > 1:
+        _, width = _chunk_places(conditions.base)
         chunk = max(10 ** 6, (limit + jobs - 1) // jobs)
-        spans = [(s, min(s + chunk, limit)) for s in range(1, limit, chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunk += -chunk % width
+        edges = [1, *range(chunk, limit, chunk), limit]
+        spans = list(zip(edges, edges[1:]))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(spans))) as pool:
             futures = [
                 pool.submit(_chunk_mantissa_sum, conditions, a, b, exact, scale)
                 for a, b in spans
@@ -134,27 +209,17 @@ def block_cell_sums(
     if stop > ENUMERATION_BUDGET:
         raise LimitTooLarge(f"{base}**{digit_length} exceeds the enumeration budget")
 
-    counts = conditions.counts
     strides = []
     stride = 1
-    for n in counts:
+    for n in conditions.counts:
         strides.append(stride)
         stride *= n + 1
 
     scale = 10 ** (decimals + 10)
+    term = partial(div_nearest, scale)
     cells = [0] * conditions.cell_count
-    digit_chars = [chr(ord("0") + d) for d in conditions.digits]
-    for n in range(start, stop):
-        text = _digit_string(n, base)
-        slot = 0
-        for pos, ch in enumerate(digit_chars):
-            k = text.count(ch)
-            if k > counts[pos]:
-                slot = -1
-                break
-            slot += k * strides[pos]
-        if slot >= 0:
-            cells[slot] += div_nearest(scale, n)
+    for vector, integers in _occurrence_runs(conditions, start, stop):
+        cells[sum(map(mul, vector, strides))] += sum(map(term, integers))
     return [Fraction(v, scale) for v in cells]
 
 

@@ -302,6 +302,17 @@ class TestOracleCommand:
         )
         assert code == 5
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_2(self, capsys, threads):
+        code, out, err = run(
+            capsys,
+            "oracle", "--digits", "9", "--counts", "0", "--limit", "1000",
+            "--threads", threads,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"--threads must be at least 1, got {threads}" in err
+
     def test_mode_at_most(self, capsys):
         code, out, _ = run(
             capsys,

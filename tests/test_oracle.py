@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import ast
+from concurrent.futures import Future
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from irwinsums import oracle
+from irwinsums.fixedpoint import div_nearest, fixed_to_decimal
 from irwinsums.model import ConditionSet, LimitTooLarge
 from irwinsums.oracle import (
     block_cell_sums,
@@ -84,6 +89,177 @@ class TestBruteForce:
         cells = block_cell_sums(c, 2, decimals=20)
         want_exact = brute_force_fraction(c, 100) - brute_force_fraction(c, 10)
         assert abs(cells[1] - want_exact) < Fraction(1, 10 ** 18)
+
+
+def reference_digits(n: int, base: int) -> str:
+    if base == 10:
+        return str(n)
+    if base == 2:
+        return bin(n)[2:]
+    digits = ""
+    while n:
+        n, d = divmod(n, base)
+        digits = str(d) + digits
+    return digits
+
+
+def reference_vector(n: int, c: ConditionSet) -> tuple[int, ...]:
+    text = reference_digits(n, c.base)
+    return tuple([text.count(str(d)) for d in c.digits])
+
+
+def reference_qualifying(c: ConditionSet, start: int, stop: int, mode: str):
+    """Per-integer enumeration, one digit string per integer."""
+    bounds = c.counts
+    if mode == "exact":
+        return [n for n in range(start, stop) if reference_vector(n, c) == bounds]
+    return [
+        n
+        for n in range(start, stop)
+        if all(k <= bound for k, bound in zip(reference_vector(n, c), bounds))
+    ]
+
+
+class TestChunkedCountingMatchesReference:
+    """The chunked oracle against a plain per-integer reference: padding zeros,
+    ranges shorter than one chunk and limits off a chunk boundary included."""
+
+    CASES = [
+        ConditionSet.of([0], [1], base=2),
+        ConditionSet.of([0, 1], [3, 4], base=2),
+        ConditionSet.of([0], [2], base=3),
+        ConditionSet.of([0, 1, 2], [2, 2, 2], base=3),
+        ConditionSet.of([0], [1], base=7),
+        ConditionSet.of([3, 0], [2, 1], base=7),
+        ConditionSet.of([0], [0]),
+        ConditionSet.of([9], [1]),
+        ConditionSet.of([9, 3], [2, 1]),
+    ]
+
+    @pytest.mark.parametrize("mode", ["exact", "at-most"])
+    @pytest.mark.parametrize("c", CASES, ids=str)
+    def test_fraction(self, c, mode):
+        # limits below, on and off the chunk widths 10**3, 2**10, 3**7 and 7**4
+        for limit in (1, 2, 40, 999, 2000, 5000, 12346):
+            want = sum(
+                (Fraction(1, n) for n in reference_qualifying(c, 1, limit, mode)),
+                Fraction(0),
+            )
+            assert brute_force_fraction(c, limit, mode) == want, limit
+
+    @pytest.mark.parametrize(
+        "c, mode, limit",
+        [
+            (ConditionSet.of([0], [1]), "exact", 1_000_999),
+            (ConditionSet.of([0], [2], base=2), "at-most", 1_050_001),
+        ],
+        ids=str,
+    )
+    def test_scaled_sum_above_exact_limit(self, c, mode, limit):
+        decimals = 20
+        scale = 10 ** (decimals + 10)
+        mantissa = sum(
+            div_nearest(scale, n) for n in reference_qualifying(c, 1, limit, mode)
+        )
+        want = fixed_to_decimal(mantissa, decimals + 10, decimals)
+        assert brute_force_sum(c, limit, mode, decimals) == want
+        assert brute_force_sum(c, limit, mode, decimals, jobs=2) == want
+
+    @pytest.mark.parametrize("mode", ["exact", "at-most"])
+    @pytest.mark.parametrize("c", CASES, ids=str)
+    def test_span_off_chunk_boundaries(self, c, mode):
+        # spans a process pool would never get, starting mid-chunk
+        scale = 10 ** 30
+        for start, stop in ((5, 7), (999, 1001), (1500, 7777), (2500, 30001)):
+            want = sum(
+                div_nearest(scale, n) for n in reference_qualifying(c, start, stop, mode)
+            )
+            got = oracle._chunk_mantissa_sum(c, start, stop, mode == "exact", scale)
+            assert got == want, (start, stop)
+
+    @pytest.mark.parametrize("c", CASES, ids=str)
+    def test_block_cells(self, c):
+        decimals = 20
+        scale = 10 ** (decimals + 10)
+        for digit_length in range(1, 9):
+            start, stop = c.base ** (digit_length - 1), c.base ** digit_length
+            if stop > 10 ** 5:
+                break
+            want = [0] * c.cell_count
+            for n in reference_qualifying(c, start, stop, "at-most"):
+                slot, stride = 0, 1
+                for k, bound in zip(reference_vector(n, c), c.counts):
+                    slot += k * stride
+                    stride *= bound + 1
+                want[slot] += div_nearest(scale, n)
+            got = block_cell_sums(c, digit_length, decimals)
+            assert got == [Fraction(v, scale) for v in want], digit_length
+
+
+class TestProcessPool:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Stands in for ProcessPoolExecutor: each pool records max_workers and
+        the spans submitted, and runs every task in this process."""
+        created = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                self.spans = []
+                created.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, conditions, start, stop, *rest):
+                self.spans.append((start, stop))
+                future = Future()
+                future.set_result(fn(conditions, start, stop, *rest))
+                return future
+
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", InlinePool)
+        return created
+
+    @pytest.mark.parametrize("base, width", [(10, 1000), (2, 1024), (3, 2187)])
+    def test_workers_bounded_by_spans_aligned_to_chunks(self, pools, base, width):
+        c = ConditionSet.of([1, 0], [2, 1], base=base)
+        limit = 2_999_999
+        got = brute_force_sum(c, limit, decimals=20, jobs=64)
+        (pool,) = pools
+        assert pool.max_workers == len(pool.spans) == 3
+        starts = [a for a, _ in pool.spans]
+        stops = [b for _, b in pool.spans]
+        assert starts == [1] + stops[:-1] and stops[-1] == limit
+        assert all(b % width == 0 for b in stops[:-1])
+        assert got == brute_force_sum(c, limit, decimals=20)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, pools, jobs):
+        c = ConditionSet.of([9], [0])
+        for limit in (100, 2 * 10 ** 6):
+            with pytest.raises(ValueError):
+                brute_force_sum(c, limit, jobs=jobs)
+        assert pools == []
+
+
+def test_oracle_imports_only_fixedpoint_and_model():
+    """The oracle stays independent of the engine: its package-relative
+    imports are exactly .fixedpoint and .model, and it names no package
+    module absolutely."""
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    relative = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            relative.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.ImportFrom):
+            assert not node.module.startswith("irwinsums"), node.module
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("irwinsums") for a in node.names)
+    assert relative == {".fixedpoint", ".model"}
 
 
 class TestCountOneDigit:
