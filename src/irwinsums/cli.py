@@ -6,9 +6,10 @@ Subcommands mirror the library drivers: ``sum`` (full series), ``partial``
 (brute-force spot checks).  Results go to stdout as plain text, 5-digit
 grouped text, or JSON; diagnostics go to stderr.
 
-Exit codes: 0 success, 2 invalid input, 3 insufficient accuracy or threshold
-above the total, 5 enumeration or table budget exceeded.  Code 4 is not
-produced; it stays unassigned so that the other codes keep their numbers.
+Exit codes: 0 success, 2 invalid input or an ``--output`` file that cannot be
+written, 3 insufficient accuracy or threshold above the total, 5 enumeration,
+table or decimals budget exceeded.  Code 4 is not produced; it stays
+unassigned so that the other codes keep their numbers.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .model import (
     LimitTooLarge,
     RangeTooLarge,
     ThresholdAboveTotal,
-    ValidationError,
+    clamp_decimals,
 )
 from .summation import (
     SumResult,
@@ -43,6 +44,18 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_ACCURACY = 3
 EXIT_BUDGET = 5
+
+# an error's exit code is that of the first entry it is an instance of
+_EXIT_CODES = (
+    (ValueError, EXIT_INVALID),
+    (TypeError, EXIT_INVALID),
+    (ThresholdAboveTotal, EXIT_ACCURACY),
+    (InsufficientAccuracy, EXIT_ACCURACY),
+    (LimitTooLarge, EXIT_BUDGET),
+    (RangeTooLarge, EXIT_BUDGET),
+    (IrwinSumError, EXIT_INVALID),
+    (OSError, EXIT_INVALID),
+)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -344,8 +357,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.threads < 1:
         print(f"--threads must be at least 1, got {args.threads}", file=sys.stderr)
         return EXIT_INVALID
+    decimals = clamp_decimals(args.decimals)
     value = oracle_mod.brute_force_sum(
-        conditions, args.limit, mode=args.mode, decimals=args.decimals, jobs=args.threads
+        conditions, args.limit, mode=args.mode, decimals=decimals, jobs=args.threads
     )
     if args.format != "json":
         print(f"oracle sum (n < {args.limit}) = {_value_str(value, args.format)}")
@@ -354,7 +368,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         "digits": list(conditions.digits),
         "counts": list(conditions.counts),
         "mode": args.mode,
-        "decimals": args.decimals,
+        "decimals": decimals,
         "limit": args.limit,
         "oracle_sum": format_plain(value),
     }
@@ -373,7 +387,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         if args.mode != "exact":
             print("--compare uses exact mode", file=sys.stderr)
             return EXIT_INVALID
-        engine = partial_sum(conditions, power, args.decimals)
+        engine = partial_sum(conditions, power, decimals)
         difference = engine.requested_sum - value
         if args.format != "json":
             print(
@@ -401,18 +415,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValidationError, ValueError, TypeError) as exc:
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (ThresholdAboveTotal, InsufficientAccuracy) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ACCURACY
-    except (LimitTooLarge, RangeTooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except IrwinSumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

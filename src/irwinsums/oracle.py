@@ -3,8 +3,8 @@
 Everything here recomputes sums by plain enumeration (or rapidly convergent
 closed forms in base 2) and shares nothing with the engine beyond the
 condition-set type: digit occurrences are counted through string conversion
-rather than the engine's arithmetic digit walk, and accumulation is exact
-rational below a size threshold.
+rather than the engine's arithmetic digit walk, and terms are summed as
+integers at ten spare decimals (as exact rationals by brute_force_fraction).
 
 Enumeration counts digits once per chunk rather than once per integer.  With
 W = base**t the smallest power of the base that is at least 1000, an integer
@@ -75,12 +75,10 @@ def _occurrence_runs(conditions: ConditionSet, start: int, stop: int):
 
     places, width = _chunk_places(base)
     # whole chunks are q in [first, last); q = 0 never is one, because
-    # integers below W have no padding zeros
+    # integers below W have no padding zeros; a range that holds no whole
+    # chunk gets last = first and is counted one by one
     first = max(-(-start // width), 1)
-    last = stop // width
-    if first >= last:
-        yield from one_by_one(start, stop)
-        return
+    last = max(stop // width, first)
 
     # a residue vector above a bound stays above it whatever the prefix
     groups: dict[tuple[int, ...], list[int]] = {}
@@ -89,7 +87,7 @@ def _occurrence_runs(conditions: ConditionSet, start: int, stop: int):
         if all(map(le, vector, bounds)):
             groups.setdefault(vector, []).append(r)
 
-    yield from one_by_one(start, first * width)
+    yield from one_by_one(start, min(first * width, stop))
     for q in range(first, last):
         prefix = occurrences(_digit_string(q, base))
         if not all(map(le, prefix, bounds)):
@@ -99,7 +97,7 @@ def _occurrence_runs(conditions: ConditionSet, start: int, stop: int):
             vector = tuple(map(add, prefix, residue_vector))
             if all(map(le, vector, bounds)):
                 yield vector, map(offset.__add__, residues)
-    yield from one_by_one(last * width, stop)
+    yield from one_by_one(max(last * width, start), stop)
 
 
 def _check_mode(mode: str) -> bool:
@@ -158,43 +156,39 @@ def brute_force_sum(
 ) -> Decimal:
     """Sum 1/n over qualifying n < limit by enumeration.
 
-    Exact rational accumulation up to 10**6; scaled-integer accumulation with
-    ten spare decimals beyond that.  Digits are counted once per chunk of
-    ``base**t >= 1000`` integers, and one by one only below the first chunk
-    and in a partial chunk at the top of the range (see the module
-    docstring).  ``jobs > 1`` splits the range into spans that start and end
-    on chunk boundaries and sums them in at most ``jobs`` processes, one per
-    span at most; integer partial sums make the reduction order irrelevant,
-    so the result is identical to a serial run.  ``jobs < 1`` raises
-    ``ValueError``.
+    Each term is rounded to an integer at ten spare decimals.  Digits are
+    counted once per chunk of ``base**t >= 1000`` integers (see the module
+    docstring).  The range splits into at most ``jobs`` spans of at least
+    10**6 integers on chunk boundaries: one span (``jobs == 1`` or
+    ``limit <= 10**6``) is summed in this process, more in one process each.
+    Integer partial sums make the result the same for every ``jobs``.
+    ``jobs < 1`` or ``decimals < 0`` raises ``ValueError``.
     """
     exact = _check_mode(mode)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if decimals < 0:
+        raise ValueError("decimals must be >= 0")
     if limit > ENUMERATION_BUDGET:
         raise LimitTooLarge(
             f"limit {limit} exceeds the enumeration budget {ENUMERATION_BUDGET}"
         )
-    if limit <= EXACT_RATIONAL_LIMIT:
-        value = brute_force_fraction(conditions, limit, mode)
-        mantissa = div_nearest(value.numerator * 10 ** (decimals + 5), value.denominator)
-        return fixed_to_decimal(mantissa, decimals + 5, decimals)
 
     scale = 10 ** (decimals + 10)
-    if jobs > 1:
-        _, width = _chunk_places(conditions.base)
-        chunk = max(10 ** 6, (limit + jobs - 1) // jobs)
-        chunk += -chunk % width
-        edges = [1, *range(chunk, limit, chunk), limit]
-        spans = list(zip(edges, edges[1:]))
+    _, width = _chunk_places(conditions.base)
+    chunk = max(10 ** 6, (limit + jobs - 1) // jobs)
+    chunk += -chunk % width
+    edges = [1, *range(chunk, limit, chunk), limit]
+    spans = list(zip(edges, edges[1:]))
+    if len(spans) == 1:
+        total = _chunk_mantissa_sum(conditions, 1, limit, exact, scale)
+    else:
         with ProcessPoolExecutor(max_workers=min(jobs, len(spans))) as pool:
             futures = [
                 pool.submit(_chunk_mantissa_sum, conditions, a, b, exact, scale)
                 for a, b in spans
             ]
             total = sum(f.result() for f in futures)
-    else:
-        total = _chunk_mantissa_sum(conditions, 1, limit, exact, scale)
     return fixed_to_decimal(total, decimals + 10, decimals)
 
 

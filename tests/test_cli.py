@@ -115,6 +115,16 @@ class TestSumCommand:
         report = json.loads(path.read_text())
         assert Decimal(report["sum"]) == Decimal("22.920676619264150")
 
+    def test_unwritable_output_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(
+            capsys, "sum", "--digits", "9", "--counts", "0", "--output", str(path)
+        )
+        assert code == 2
+        assert "sum = " in out  # the result was printed before the write failed
+        assert err.startswith("error: ") and str(path) in err
+        assert not path.exists()
+
     def test_plan_line_at_verbosity_two(self, capsys):
         code, _, err = run(capsys, "sum", "--digits", "9", "--counts", "1", "-v", "2")
         assert code == 0
@@ -312,6 +322,29 @@ class TestOracleCommand:
         assert code == 2
         assert out == ""
         assert f"--threads must be at least 1, got {threads}" in err
+
+    def test_decimals_below_minimum_raised_to_5(self, capsys):
+        code, out, err = run(
+            capsys,
+            "oracle", "--digits", "9", "--counts", "0", "--limit", "10",
+            "--decimals", "-3", "--format", "json",
+        )
+        assert code == 0
+        assert err == ""
+        report = json.loads(out)
+        assert report["decimals"] == 5
+        # 1/1 + ... + 1/8 = 761/280
+        assert report["oracle_sum"] == "2.71786"
+
+    def test_decimals_above_cap_exit_5(self, capsys):
+        code, out, err = run(
+            capsys,
+            "oracle", "--digits", "9", "--counts", "0", "--limit", "10",
+            "--decimals", "1001",
+        )
+        assert code == 5
+        assert out == ""
+        assert "cap of 1000" in err
 
     def test_mode_at_most(self, capsys):
         code, out, _ = run(

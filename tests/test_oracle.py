@@ -65,6 +65,11 @@ class TestBruteForce:
         got = brute_force_sum(c, 10 ** 4, decimals=20)
         assert abs(Fraction(str(got)) - want) <= Fraction(1, 10 ** 20)
 
+    def test_negative_decimals_rejected(self):
+        # checked before the budget, so before anything is enumerated
+        with pytest.raises(ValueError, match="decimals must be >= 0"):
+            brute_force_sum(ConditionSet.of([9], [0]), 10 ** 8 + 1, decimals=-1)
+
     def test_budget_guard(self):
         with pytest.raises(LimitTooLarge):
             brute_force_sum(ConditionSet.of([9], [0]), 10 ** 8 + 1)
@@ -150,12 +155,14 @@ class TestChunkedCountingMatchesReference:
     @pytest.mark.parametrize(
         "c, mode, limit",
         [
+            (ConditionSet.of([9, 3], [2, 1]), "at-most", 12346),
+            (ConditionSet.of([0], [1], base=3), "exact", 999_999),
             (ConditionSet.of([0], [1]), "exact", 1_000_999),
             (ConditionSet.of([0], [2], base=2), "at-most", 1_050_001),
         ],
         ids=str,
     )
-    def test_scaled_sum_above_exact_limit(self, c, mode, limit):
+    def test_scaled_sum_matches_reference(self, c, mode, limit):
         decimals = 20
         scale = 10 ** (decimals + 10)
         mantissa = sum(
@@ -236,6 +243,12 @@ class TestProcessPool:
         assert starts == [1] + stops[:-1] and stops[-1] == limit
         assert all(b % width == 0 for b in stops[:-1])
         assert got == brute_force_sum(c, limit, decimals=20)
+
+    def test_one_span_builds_no_pool(self, pools):
+        c = ConditionSet.of([9], [1])
+        got = brute_force_sum(c, 5000, decimals=20, jobs=4)
+        assert pools == []
+        assert got == brute_force_sum(c, 5000, decimals=20)
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, pools, jobs):
