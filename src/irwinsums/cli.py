@@ -358,6 +358,22 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         print(f"--threads must be at least 1, got {args.threads}", file=sys.stderr)
         return EXIT_INVALID
     decimals = clamp_decimals(args.decimals)
+    if args.compare:
+        # Checked before the oracle enumerates; the engine needs at least one
+        # digit length, so --limit 1 is refused too.
+        power, n = 1, conditions.base
+        while n < args.limit:
+            n *= conditions.base
+            power += 1
+        if n != args.limit:
+            print(
+                f"--compare requires --limit to be a power of {conditions.base}",
+                file=sys.stderr,
+            )
+            return EXIT_INVALID
+        if args.mode != "exact":
+            print("--compare uses exact mode", file=sys.stderr)
+            return EXIT_INVALID
     value = oracle_mod.brute_force_sum(
         conditions, args.limit, mode=args.mode, decimals=decimals, jobs=args.threads
     )
@@ -373,20 +389,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         "oracle_sum": format_plain(value),
     }
     if args.compare:
-        power = 0
-        n = 1
-        while n < args.limit:
-            n *= conditions.base
-            power += 1
-        if n != args.limit:
-            print(
-                f"--compare requires --limit to be a power of {conditions.base}",
-                file=sys.stderr,
-            )
-            return EXIT_INVALID
-        if args.mode != "exact":
-            print("--compare uses exact mode", file=sys.stderr)
-            return EXIT_INVALID
         engine = partial_sum(conditions, power, decimals)
         difference = engine.requested_sum - value
         if args.format != "json":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import gt
 
 from .fixedpoint import div_nearest
 from .model import (
@@ -58,9 +59,9 @@ def direct_sum(
 ) -> PowerSumTable:
     """Fill one digit-length block by enumerating every denominator.
 
-    Integers whose constrained-digit counts stay within the condition bounds
-    contribute 1/x**j to the cell of their occurrence vector; the rest
-    contribute nothing.
+    One pass over each integer's digits counts its constrained digits and
+    builds its slot, ``sum(k_c * stride_c)``; integers whose counts stay within
+    the bounds contribute 1/x**j to that cell, the rest nothing.
     """
     if digit_length < 1:
         raise ValueError("digit_length must be >= 1")
@@ -73,37 +74,28 @@ def direct_sum(
 
     digits = conditions.digits
     counts = conditions.counts
+    strides = conditions.strides
     m = len(digits)
     slot_of_digit = [-1] * base
     for pos, d in enumerate(digits):
         slot_of_digit[d] = pos
 
-    strides = conditions.strides
-
     scale = plan.scale
     rows = [[0] * conditions.cell_count for _ in range(max_power)]
-    found = [0] * m
 
     start = base ** (digit_length - 1)
     stop = base ** digit_length
     for x in range(start, stop):
-        for pos in range(m):
-            found[pos] = 0
+        found = [0] * m
+        slot = 0
         value = x
         while value:
             value, digit = divmod(value, base)
             pos = slot_of_digit[digit]
             if pos >= 0:
                 found[pos] += 1
-
-        slot = 0
-        for pos in range(m):
-            k = found[pos]
-            if k > counts[pos]:
-                slot = -1
-                break
-            slot += k * strides[pos]
-        if slot < 0:
+                slot += strides[pos]
+        if any(map(gt, found, counts)):
             continue
 
         xj = x
@@ -122,14 +114,13 @@ def _tail_below(a: int, b: int, power: int, decimals: int) -> bool:
     spare = 10
     scale = 10 ** (decimals + spare)
     total = 0
-    count = 0
     for n in range(a, b + 1):
         term = scale // n ** power
         if term == 0:
             break
         total += term
-        count += 1
-    return total + count + (b - a + 1 - count) < 10 ** spare
+    # Each term, kept or dropped, is truncated by less than one unit.
+    return total + (b - a + 1) < 10 ** spare
 
 
 def estimate_max_power(base: int, requested_decimals: int, direct_sum_digits: int) -> int:

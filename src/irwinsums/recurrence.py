@@ -25,6 +25,9 @@ unknown rows from the seed and the rows it has already solved.
 
 A step fills only the cells its length can reach: an i-digit integer has at
 most i constrained digits, and exactly i when every digit is constrained.
+
+The neighbour with count c decremented lies ``stride_c`` below a cell, so the
+slot layout keeps one ``(c, stride_c)`` pattern per support set, at most 2**m.
 """
 
 from __future__ import annotations
@@ -47,19 +50,22 @@ def expansion_coefficient(base: int, power: int, n: int) -> Fraction:
 
 @lru_cache(maxsize=32)
 def _slot_layout(conditions: ConditionSet) -> tuple[tuple, tuple[int, ...]]:
-    """Per flat slot: its (condition, slot with that count - 1) pairs, and |k|."""
+    """Per flat slot: the (condition, stride) pairs of its counts > 0, in one
+    tuple shared by every slot with the same support, and |k|."""
     radices = tuple(enumerate(zip(conditions.counts, conditions.strides)))
-    neighbors, weights = [], []
+    shared: dict[tuple, tuple] = {}
+    patterns, weights = [], []
     for slot in range(conditions.cell_count):
         rest, total, pairs = slot, 0, []
         for c, (n, stride) in radices:
             rest, k = divmod(rest, n + 1)
             if k:
                 total += k
-                pairs.append((c, slot - stride))
-        neighbors.append(tuple(pairs))
+                pairs.append((c, stride))
+        pattern = tuple(pairs)
+        patterns.append(shared.setdefault(pattern, pattern))
         weights.append(total)
-    return tuple(neighbors), tuple(weights)
+    return tuple(patterns), tuple(weights)
 
 
 def expansion_terms(
@@ -104,8 +110,9 @@ def _fill_row(
     rounding: Callable[[int, int], int],
 ) -> None:
     """Write one power's row: for each slot, ``start[slot]`` plus every
-    expansion term, read from ``sources[n]`` (power j + n) at the slot and its
-    decrement neighbours, rounded over ``divisor``.
+    expansion term, read from ``sources[n]`` (power j + n) at the slot and at
+    ``slot - stride`` for each ``(c, stride)`` in ``neighbors[slot]`` (the
+    slot with count c decremented), rounded over ``divisor``.
 
     ``row`` may alias ``start`` (each slot is read before it is written) or
     ``sources[0]``: neighbours lie at lower slots, so their terms read values
@@ -121,8 +128,8 @@ def _fill_row(
             tv = src[slot]
             if tv and k0:
                 s += k0 * tv
-            for c, s2 in nbr:
-                tv2 = src[s2]
+            for c, stride in nbr:
+                tv2 = src[slot - stride]
                 if tv2:
                     kc = kcs[c]
                     if kc:

@@ -298,12 +298,34 @@ class TestOracleCommand:
         assert abs(Decimal(value)) < Decimal("1e-13")
 
     def test_compare_requires_power_of_base(self, capsys):
-        code, _, err = run(
+        # refused before the oracle enumerates, so nothing reaches stdout
+        code, out, err = run(
             capsys,
             "oracle", "--digits", "9", "--counts", "0", "--limit", "999", "--compare",
         )
         assert code == 2
         assert "power of 10" in err
+        assert out == ""
+
+    def test_compare_requires_a_digit_length(self, capsys):
+        # limit 1 = 10**0 leaves the engine no digit length to walk
+        code, out, err = run(
+            capsys,
+            "oracle", "--digits", "9", "--counts", "0", "--limit", "1", "--compare",
+        )
+        assert code == 2
+        assert "power of 10" in err
+        assert out == ""
+
+    def test_compare_requires_exact_mode(self, capsys):
+        code, out, err = run(
+            capsys,
+            "oracle", "--digits", "9", "--counts", "0", "--limit", "100", "--compare",
+            "--mode", "at-most",
+        )
+        assert code == 2
+        assert "exact mode" in err
+        assert out == ""
 
     def test_budget_exits_5(self, capsys):
         code, _, err = run(

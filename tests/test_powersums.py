@@ -49,7 +49,14 @@ class TestDirectSum:
 
     @pytest.mark.parametrize(
         "digits,counts,base",
-        [([9], [2], 10), ([9, 3], [2, 1], 10), ([0], [1], 2)],
+        [
+            ([9], [2], 10),
+            ([9, 3], [2, 1], 10),
+            ([0], [1], 2),
+            # digit 0 at a stride above 1, and skipped over-counts
+            ([0, 1, 2], [2, 2, 2], 3),
+            ([6, 0], [1, 2], 7),
+        ],
     )
     def test_matches_oracle_cells(self, digits, counts, base):
         c = ConditionSet.of(digits, counts, base=base)

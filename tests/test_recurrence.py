@@ -10,7 +10,12 @@ from fractions import Fraction
 import pytest
 
 import irwinsums.recurrence as recurrence
-from irwinsums.model import ConditionSet, PrecisionPlan
+from irwinsums.model import (
+    ConditionSet,
+    PrecisionPlan,
+    occurrence_index,
+    occurrence_vector,
+)
 from irwinsums.oracle import block_cell_sums
 from irwinsums.powersums import PowerSumTable, digit_power_sum, direct_sum
 from irwinsums.recurrence import advance, expansion_coefficient, expansion_terms
@@ -194,6 +199,33 @@ class TestActiveSet:
         every = step_tables(c, last)
         assert [t.rows for t in reached] == [t.rows for t in every]
         assert [t.digit_length for t in reached] == list(range(1, last + 1))
+
+
+class TestSlotLayout:
+    def test_patterns_are_shared_per_support(self):
+        # one pattern object per set of nonzero counts: at most 2**10 for all
+        # ten digits, not one per each of the 3**10 cells
+        c = ConditionSet.of(list(range(10)), [2] * 10)
+        patterns, weights = recurrence._slot_layout(c)
+        assert len(patterns) == len(weights) == 3 ** 10
+        assert len({id(p) for p in patterns}) <= 2 ** 10
+
+    @pytest.mark.parametrize(
+        "digits,counts,base", [([0, 1, 2], [2, 2, 2], 3), ([9, 3], [2, 1], 10)]
+    )
+    def test_stride_reaches_the_decremented_vector(self, digits, counts, base):
+        c = ConditionSet.of(digits, counts, base=base)
+        patterns, weights = recurrence._slot_layout(c)
+        for slot, pattern in enumerate(patterns):
+            vector = occurrence_vector(slot, c)
+            assert weights[slot] == sum(vector)
+            assert [cond for cond, _ in pattern] == [
+                cond for cond, k in enumerate(vector) if k
+            ]
+            for cond, stride in pattern:
+                lower = list(vector)
+                lower[cond] -= 1
+                assert slot - stride == occurrence_index(lower, c)
 
 
 def walk_totals(conditions, digit_limit, plan):
