@@ -30,6 +30,7 @@ from .model import (
     RangeTooLarge,
     ThresholdAboveTotal,
     clamp_decimals,
+    occurrence_vector,
 )
 from .summation import (
     SumResult,
@@ -228,8 +229,6 @@ def _print_sum_text(result: SumResult, mode: str, args: argparse.Namespace) -> N
         for k, value in enumerate(result.per_count_sums):
             print(f"sum for {k} occurrences = {_value_str(value, args.format)}")
     elif args.verbose >= 4:
-        from .model import occurrence_vector
-
         for slot, value in enumerate(result.per_cell_sums):
             vector = occurrence_vector(slot, conditions)
             print(f"sum for occurrences {vector} = {_value_str(value, args.format)}")

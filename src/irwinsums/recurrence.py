@@ -27,7 +27,8 @@ A step fills only the cells its length can reach: an i-digit integer has at
 most i constrained digits, and exactly i when every digit is constrained.
 
 The neighbour with count c decremented lies ``stride_c`` below a cell, so the
-slot layout keeps one ``(c, stride_c)`` pattern per support set, at most 2**m.
+slot layout keeps one ``(c, stride_c)`` pattern per support set, at most 2**m,
+and grows the layout one condition at a time instead of decoding each slot.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from .fixedpoint import div_nearest, div_toward_zero
-from .model import ConditionSet, PrecisionPlan
+from .model import ConditionSet
 from .powersums import PowerSumTable, digit_power_sum
 
 
@@ -51,20 +52,19 @@ def expansion_coefficient(base: int, power: int, n: int) -> Fraction:
 @lru_cache(maxsize=32)
 def _slot_layout(conditions: ConditionSet) -> tuple[tuple, tuple[int, ...]]:
     """Per flat slot: the (condition, stride) pairs of its counts > 0, in one
-    tuple shared by every slot with the same support, and |k|."""
-    radices = tuple(enumerate(zip(conditions.counts, conditions.strides)))
-    shared: dict[tuple, tuple] = {}
-    patterns, weights = [], []
-    for slot in range(conditions.cell_count):
-        rest, total, pairs = slot, 0, []
-        for c, (n, stride) in radices:
-            rest, k = divmod(rest, n + 1)
-            if k:
-                total += k
-                pairs.append((c, stride))
-        pattern = tuple(pairs)
-        patterns.append(shared.setdefault(pattern, pattern))
-        weights.append(total)
+    tuple shared by every slot with the same support, and |k|.
+
+    Built one condition at a time: condition c is more significant than every
+    earlier one, so the slots with count k of c are the earlier layout again,
+    each pattern extended by ``(c, stride)`` when k > 0 and each weight by k.
+    """
+    patterns: list[tuple] = [()]
+    weights = [0]
+    for c, (n, stride) in enumerate(zip(conditions.counts, conditions.strides)):
+        shared: dict[tuple, tuple] = {}
+        ext = [shared.setdefault(p, p + ((c, stride),)) for p in patterns]
+        patterns += ext * n
+        weights = [w + k for k in range(n + 1) for w in weights]
     return tuple(patterns), tuple(weights)
 
 
@@ -138,21 +138,16 @@ def _fill_row(
 
 
 def advance(
-    table: PowerSumTable,
-    conditions: ConditionSet,
-    j_active: int,
-    plan: PrecisionPlan,
-) -> tuple[PowerSumTable, int, list[int]]:
+    table: PowerSumTable, conditions: ConditionSet, j_active: int
+) -> tuple[PowerSumTable, int]:
     """One recurrence step: build the table for the next digit length i + 1.
 
     Only slots with |k| <= i + 1 are computed, and for a finite series only
     those with |k| = i + 1 (no unconstrained digit, so a cell never reads
     itself); every other slot would read exact zeros.  Returns the new table
-    (powers 1..j_active), the largest |mantissa| in it, and the largest
-    |mantissa| per power row (index j - 1).  Rows j..J read only rows j..J, so
-    once a row's peak and every higher row's peak are 0, those rows stay
-    exactly 0 at every later digit length.  ``plan`` is not read (mantissas
-    keep the table's scale); it stays so that existing callers keep working.
+    (powers 1..j_active) and ``live``, the highest power whose row is not all
+    0 (0 when none is).  Rows j..J read only rows j..J, so the rows above
+    ``live`` stay exactly 0 at every later digit length.
     """
     if len(table.rows) < j_active:
         raise ValueError(
@@ -166,7 +161,6 @@ def advance(
     rows_prev = table.rows
     divisor = conditions.base ** j_active
     new_rows: list[list[int]] = [[]] * j_active
-    peaks = [0] * j_active
     for j, coeffs in expansion_terms(conditions, j_active):
         row = [0] * len(weights)
         _fill_row(
@@ -174,8 +168,8 @@ def advance(
             divisor, div_toward_zero,
         )
         new_rows[j - 1] = row
-        peaks[j - 1] = max(max(row), -min(row))
-    return PowerSumTable(length, new_rows), max(peaks, default=0), peaks
+    live = next((j for j in range(j_active, 0, -1) if any(new_rows[j - 1])), 0)
+    return PowerSumTable(length, new_rows), live
 
 
 def solve_tail(seed: PowerSumTable, conditions: ConditionSet) -> list[int]:

@@ -113,7 +113,8 @@ def _walk(
 
     Lengths below the seed are enumerated for their power-1 row only; the
     seed is enumerated with every power, and later lengths step the
-    recurrence, dropping the top power while its row reads exactly 0.
+    recurrence, dropping the top powers whose rows read exactly 0 down to
+    2 powers (a plan of 1 or 2 powers keeps them).
     ``sums`` is one list, updated in place: per cell, the sum of every block
     through ``digit_length``.  Only a block's nonzero cells are added; a
     finite series' block at length i is nonzero only where |k| = i, and the
@@ -129,9 +130,9 @@ def _walk(
             powers = plan.max_power if i == seed_digit else 1
             table = direct_sum(conditions, i, powers, plan)
         else:
-            table, _, peaks = advance(table, conditions, j_active, plan)
-            while j_active > 2 and peaks[j_active - 1] == 0:
-                j_active -= 1
+            table, live = advance(table, conditions, j_active)
+            if j_active > 2:
+                j_active = max(live, 2)
         block = table.rows[0]
         for slot in compress(range(len(block)), block):
             sums[slot] += block[slot]

@@ -89,7 +89,7 @@ def advance_from_direct(conditions, seed_digits, target_digits, decimals=15):
     table = direct_sum(conditions, seed_digits, plan.max_power, plan)
     results = {}
     for digit_length in range(seed_digits + 1, target_digits + 1):
-        table, _, _ = advance(table, conditions, plan.max_power, plan)
+        table, _ = advance(table, conditions, plan.max_power)
         results[digit_length] = table
     return plan, results
 
@@ -113,10 +113,9 @@ class TestAdvance:
         c = ConditionSet.of([9, 3], [1, 1])
         plan = build_plan(c, 15)
         empty = PowerSumTable(3, [[0] * c.cell_count for _ in range(4)])
-        table, peak, peaks = advance(empty, c, 4, plan)
+        table, live = advance(empty, c, 4)
         assert all(v == 0 for row in table.rows for v in row)
-        assert peak == 0
-        assert all(p == 0 for p in peaks)
+        assert live == 0
 
     @pytest.mark.parametrize(
         "digits,counts,base",
@@ -158,9 +157,28 @@ class TestAdvance:
         c = ConditionSet.of([9], [0])
         plan = build_plan(c, 15)
         table = direct_sum(c, 3, plan.max_power, plan)
-        _, peak, peaks = advance(table, c, plan.max_power, plan)
-        assert peak == peaks[0] > 0
+        table, _ = advance(table, c, plan.max_power)
+        peaks = [max(map(abs, row)) for row in table.rows]
+        assert max(peaks) == peaks[0] > 0
         assert all(peaks[j] >= peaks[j + 1] for j in range(len(peaks) - 1))
+
+    @pytest.mark.parametrize(
+        "digits,counts,last",
+        [([9], [0], 20), ([9, 3], [2, 1], 20), (list(range(10)), [1] * 10, 11)],
+    )
+    def test_live_is_the_top_nonzero_row(self, digits, counts, last):
+        # steps on past the lengths where the top rows vanish; all ten digits
+        # x1 end at length 10, so their table is all 0 at length 11
+        c = ConditionSet.of(digits, counts)
+        plan = build_plan(c, 15)
+        table = direct_sum(c, 3, plan.max_power, plan)
+        lives = []
+        for _ in range(4, last + 1):
+            table, live = advance(table, c, plan.max_power)
+            nonzero = [j for j, row in enumerate(table.rows, 1) if any(row)]
+            assert live == max(nonzero, default=0)
+            lives.append(live)
+        assert lives[-1] < plan.max_power
 
 
 def step_tables(conditions, last, powers=4):
@@ -168,7 +186,7 @@ def step_tables(conditions, last, powers=4):
     plan = build_plan(conditions, 15)
     tables = [direct_sum(conditions, 1, powers, plan)]
     while len(tables) < last:
-        tables.append(advance(tables[-1], conditions, powers, plan)[0])
+        tables.append(advance(tables[-1], conditions, powers)[0])
     return tables
 
 
@@ -211,7 +229,14 @@ class TestSlotLayout:
         assert len({id(p) for p in patterns}) <= 2 ** 10
 
     @pytest.mark.parametrize(
-        "digits,counts,base", [([0, 1, 2], [2, 2, 2], 3), ([9, 3], [2, 1], 10)]
+        "digits,counts,base",
+        [
+            ([0, 1, 2], [2, 2, 2], 3),
+            ([9, 3], [2, 1], 10),
+            ([9, 0, 3], [2, 0, 1], 10),
+            ([0, 1], [3, 2], 2),
+            (list(range(10)), [1] * 10, 10),
+        ],
     )
     def test_stride_reaches_the_decremented_vector(self, digits, counts, base):
         c = ConditionSet.of(digits, counts, base=base)
@@ -238,7 +263,7 @@ def walk_totals(conditions, digit_limit, plan):
             seeds = i == plan.direct_sum_digits
             table = direct_sum(conditions, i, plan.max_power if seeds else 1, plan)
         else:
-            table, _, _ = advance(table, conditions, plan.max_power, plan)
+            table, _ = advance(table, conditions, plan.max_power)
         total += table.rows[0][target]
         totals.append((i, total))
     return totals
@@ -258,7 +283,7 @@ class TestShrinkActivePowers:
         ],
     )
     def test_dropping_zero_rows_is_exact(self, digits, counts, base, digit_limit):
-        # a row whose peak is 0 reads only higher rows that are 0 too, so the
+        # an all-zero row reads only higher rows that are 0 too, so the
         # walk's totals equal, as integers, those of one that never drops
         c = ConditionSet.of(digits, counts, base=base)
         plan = build_plan(c, 15)

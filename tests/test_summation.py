@@ -217,6 +217,21 @@ class TestPartialSum:
         with pytest.raises(ValueError):
             partial_sum(ConditionSet.of([9], [0]), 0, 15)
 
+    @pytest.mark.parametrize(
+        "max_power,want", [(1, "8.132432370882958"), (2, "8.117692102143704")]
+    )
+    def test_hand_made_power_count_is_kept(self, max_power, want):
+        # the walk drops powers only while more than 2 are active, so a plan
+        # with 1 or 2 powers keeps them at every length
+        seen = []
+        r = partial_sum(
+            ConditionSet.of([9], [1]), 12, 15,
+            plan=PrecisionPlan(15, 23, max_power, 900, 3),
+            observer=lambda i, block, total, j_active: seen.append(j_active),
+        )
+        assert seen == [max_power] * 12
+        assert r.requested_sum == Decimal(want)
+
 
 class TestThresholdSearch:
     def test_one_nine_reaching_23(self, ulp):
