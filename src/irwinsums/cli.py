@@ -4,7 +4,8 @@ Subcommands mirror the library drivers: ``sum`` (full series), ``partial``
 (through base**p), ``threshold`` (bracket a target partial sum), ``table``
 (the zero/one/two-occurrence grid for every digit), and ``oracle``
 (brute-force spot checks).  Results go to stdout as plain text, 5-digit
-grouped text, or JSON; diagnostics go to stderr.
+grouped text, or JSON; diagnostics go to stderr.  Each command returns its
+JSON report and its text lines; ``main`` alone prints and writes them.
 
 Exit codes: 0 success, 2 invalid input or an ``--output`` file that cannot be
 written, 3 insufficient accuracy or threshold above the total, 5 enumeration,
@@ -49,7 +50,6 @@ EXIT_BUDGET = 5
 # an error's exit code is that of the first entry it is an instance of
 _EXIT_CODES = (
     (ValueError, EXIT_INVALID),
-    (TypeError, EXIT_INVALID),
     (ThresholdAboveTotal, EXIT_ACCURACY),
     (InsufficientAccuracy, EXIT_ACCURACY),
     (LimitTooLarge, EXIT_BUDGET),
@@ -159,15 +159,6 @@ def _value_str(value: Decimal, fmt: str) -> str:
     return format_grouped(value) if fmt == "grouped" else format_plain(value)
 
 
-def _emit_report(report: dict, args: argparse.Namespace) -> None:
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-
-
 def _make_observer(args: argparse.Namespace, plan):
     if args.verbose < 3:
         return None
@@ -184,17 +175,24 @@ def _make_observer(args: argparse.Namespace, plan):
     return observer
 
 
-def _print_plan(plan, args: argparse.Namespace) -> None:
+def _run_engine(args: argparse.Namespace, digit_limit: Optional[int] = None) -> SumResult:
+    conditions = _conditions(args)
+    plan = build_plan(conditions, args.decimals)
     if args.verbose >= 2:
         print(
             f"decimals = {plan.requested_decimals}, working = {plan.working_decimals}, "
             f"max power = {plan.max_power}, direct digits = {plan.direct_sum_digits}",
             file=sys.stderr,
         )
+    observer = _make_observer(args, plan)
+    if digit_limit is None:
+        return irwin_sum(conditions, args.decimals, plan=plan, observer=observer)
+    return partial_sum(
+        conditions, digit_limit, args.decimals, plan=plan, observer=observer
+    )
 
 
-def _sum_report(result: SumResult, mode: str) -> dict:
-    headline = result.at_most_sum if mode == "at-most" else result.requested_sum
+def _sum_report(result: SumResult, mode: str, headline: Decimal) -> dict:
     return {
         "base": result.conditions.base,
         "digits": list(result.conditions.digits),
@@ -213,74 +211,50 @@ def _sum_report(result: SumResult, mode: str) -> dict:
     }
 
 
-def _print_sum_text(result: SumResult, mode: str, args: argparse.Namespace) -> None:
-    headline = result.at_most_sum if mode == "at-most" else result.requested_sum
+def _cmd_sum(args: argparse.Namespace) -> tuple[dict, list[str]]:
+    result = _run_engine(args)
+    headline = result.at_most_sum if args.mode == "at-most" else result.requested_sum
+    report = _sum_report(result, args.mode, headline)
+    fmt = args.format
     if args.verbose == 0:
-        print(_value_str(headline, args.format))
-        return
-    print(f"sum = {_value_str(headline, args.format)}")
+        return report, [_value_str(headline, fmt)]
     conditions = result.conditions
+    lines = [f"sum = {_value_str(headline, fmt)}"]
     if not (conditions.num_conditions == 1 and conditions.counts[0] == 0):
-        print(
+        lines.append(
             f"sum for all {conditions.cell_count} 'at most' conditions = "
-            f"{_value_str(result.at_most_sum, args.format)}"
+            f"{_value_str(result.at_most_sum, fmt)}"
         )
     if result.per_count_sums is not None:
         for k, value in enumerate(result.per_count_sums):
-            print(f"sum for {k} occurrences = {_value_str(value, args.format)}")
+            lines.append(f"sum for {k} occurrences = {_value_str(value, fmt)}")
     elif args.verbose >= 4:
         for slot, value in enumerate(result.per_cell_sums):
             vector = occurrence_vector(slot, conditions)
-            print(f"sum for occurrences {vector} = {_value_str(value, args.format)}")
-    if result.termination is Termination.FINITE_SERIES_EXHAUSTED:
+            lines.append(f"sum for occurrences {vector} = {_value_str(value, fmt)}")
+    if result.termination is Termination.FINITE_SERIES_EXHAUSTED and fmt != "json":
         print(
             f"this is a finite series that terminates after "
             f"{result.digits_processed} digits",
             file=sys.stderr,
         )
+    return report, lines
 
 
-def _run_engine(args: argparse.Namespace, digit_limit: Optional[int] = None) -> SumResult:
-    conditions = _conditions(args)
-    plan = build_plan(conditions, args.decimals)
-    _print_plan(plan, args)
-    observer = _make_observer(args, plan)
-    if digit_limit is None:
-        return irwin_sum(conditions, args.decimals, plan=plan, observer=observer)
-    return partial_sum(
-        conditions, digit_limit, args.decimals, plan=plan, observer=observer
-    )
-
-
-def _cmd_sum(args: argparse.Namespace) -> int:
-    result = _run_engine(args)
-    if args.format != "json":
-        _print_sum_text(result, args.mode, args)
-    _emit_report(_sum_report(result, args.mode), args)
-    return EXIT_OK
-
-
-def _cmd_partial(args: argparse.Namespace) -> int:
+def _cmd_partial(args: argparse.Namespace) -> tuple[dict, list[str]]:
     if args.power < 1:
-        print("--power must be >= 1", file=sys.stderr)
-        return EXIT_INVALID
+        raise ValueError("--power must be >= 1")
     result = _run_engine(args, digit_limit=args.power)
-    if args.format != "json":
-        if args.verbose == 0:
-            print(_value_str(result.requested_sum, args.format))
-        else:
-            suffix = "" if args.base == 10 else f" (base {args.base})"
-            print(
-                f"partial sum through {args.power}{suffix} digits = "
-                f"{_value_str(result.requested_sum, args.format)}"
-            )
-    report = _sum_report(result, "exact")
+    report = _sum_report(result, "exact", result.requested_sum)
     report["power"] = args.power
-    _emit_report(report, args)
-    return EXIT_OK
+    value = _value_str(result.requested_sum, args.format)
+    if args.verbose == 0:
+        return report, [value]
+    suffix = "" if args.base == 10 else f" (base {args.base})"
+    return report, [f"partial sum through {args.power}{suffix} digits = {value}"]
 
 
-def _cmd_threshold(args: argparse.Namespace) -> int:
+def _cmd_threshold(args: argparse.Namespace) -> tuple[dict, list[str]]:
     conditions = _conditions(args)
     result = threshold_search(
         conditions,
@@ -288,74 +262,55 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
         requested_decimals=args.decimals,
         threshold_decimals=args.threshold_decimals,
     )
-    if args.format != "json":
-        print(
-            f"threshold {args.threshold} is first reached with "
-            f"{result.digits_high}-digit denominators"
-        )
-        print(
-            f"partial sum through {result.digits_low} digits = "
-            f"{_value_str(result.sum_low, args.format)}"
-        )
-        print(
-            f"partial sum through {result.digits_high} digits = "
-            f"{_value_str(result.sum_high, args.format)}"
-        )
-    _emit_report(
-        {
-            "base": conditions.base,
-            "digits": list(conditions.digits),
-            "counts": list(conditions.counts),
-            "decimals": result.decimals,
-            "threshold": args.threshold,
-            "digits_low": result.digits_low,
-            "sum_low": format_plain(result.sum_low),
-            "digits_high": result.digits_high,
-            "sum_high": format_plain(result.sum_high),
-        },
-        args,
-    )
-    return EXIT_OK
+    report = {
+        "base": conditions.base,
+        "digits": list(conditions.digits),
+        "counts": list(conditions.counts),
+        "decimals": result.decimals,
+        "threshold": args.threshold,
+        "digits_low": result.digits_low,
+        "sum_low": format_plain(result.sum_low),
+        "digits_high": result.digits_high,
+        "sum_high": format_plain(result.sum_high),
+    }
+    return report, [
+        f"threshold {args.threshold} is first reached with "
+        f"{result.digits_high}-digit denominators",
+        f"partial sum through {result.digits_low} digits = "
+        f"{_value_str(result.sum_low, args.format)}",
+        f"partial sum through {result.digits_high} digits = "
+        f"{_value_str(result.sum_high, args.format)}",
+    ]
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace) -> tuple[dict, list[str]]:
     rows = []
     digits = [args.row] if args.row is not None else list(range(args.base))
     for d in digits:
         result = irwin_sum(ConditionSet.of([d], [2], base=args.base), args.decimals)
         rows.append((d, result.per_count_sums))
-    if args.format != "json":
-        fmt = args.format
-        width = max(
-            len(_value_str(v, fmt)) for _, sums in rows for v in sums
-        )
-        header = ["d"] + [
-            f"{title:<{width}}"
-            for title in ("zero occurrences", "one occurrence", "two occurrences")
-        ]
-        print("  ".join(header).rstrip())
-        for d, sums in rows:
-            cells = [f"{_value_str(v, fmt):<{width}}" for v in sums]
-            print("  ".join([str(d)] + cells).rstrip())
-    _emit_report(
-        {
-            "base": args.base,
-            "decimals": args.decimals,
-            "rows": [
-                {"digit": d, "sums": [format_plain(v) for v in sums]}
-                for d, sums in rows
-            ],
-        },
-        args,
-    )
-    return EXIT_OK
+    report = {
+        "base": args.base,
+        "decimals": args.decimals,
+        "rows": [
+            {"digit": d, "sums": [format_plain(v) for v in sums]} for d, sums in rows
+        ],
+    }
+    # the header is the grid's first row; only the values set the column width
+    grid = [["d", "zero occurrences", "one occurrence", "two occurrences"]]
+    grid += [[str(d)] + [_value_str(v, args.format) for v in sums] for d, sums in rows]
+    width = max(len(cell) for row in grid[1:] for cell in row[1:])
+    lines = [
+        "  ".join([first] + [f"{cell:<{width}}" for cell in cells]).rstrip()
+        for first, *cells in grid
+    ]
+    return report, lines
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> tuple[dict, list[str]]:
     conditions = _conditions(args)
     if args.threads < 1:
-        print(f"--threads must be at least 1, got {args.threads}", file=sys.stderr)
-        return EXIT_INVALID
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     decimals = clamp_decimals(args.decimals)
     if args.compare:
         # Checked before the oracle enumerates; the engine needs at least one
@@ -365,19 +320,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             n *= conditions.base
             power += 1
         if n != args.limit:
-            print(
-                f"--compare requires --limit to be a power of {conditions.base}",
-                file=sys.stderr,
+            raise ValueError(
+                f"--compare requires --limit to be a power of {conditions.base}"
             )
-            return EXIT_INVALID
         if args.mode != "exact":
-            print("--compare uses exact mode", file=sys.stderr)
-            return EXIT_INVALID
+            raise ValueError("--compare uses exact mode")
     value = oracle_mod.brute_force_sum(
         conditions, args.limit, mode=args.mode, decimals=decimals, jobs=args.threads
     )
-    if args.format != "json":
-        print(f"oracle sum (n < {args.limit}) = {_value_str(value, args.format)}")
     report = {
         "base": conditions.base,
         "digits": list(conditions.digits),
@@ -387,19 +337,17 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         "limit": args.limit,
         "oracle_sum": format_plain(value),
     }
+    lines = [f"oracle sum (n < {args.limit}) = {_value_str(value, args.format)}"]
     if args.compare:
         engine = partial_sum(conditions, power, decimals)
-        difference = engine.requested_sum - value
-        if args.format != "json":
-            print(
-                f"engine partial sum through {power} digits = "
-                f"{_value_str(engine.requested_sum, args.format)}"
-            )
-            print(f"difference = {difference:E}")
         report["engine_sum"] = format_plain(engine.requested_sum)
-        report["difference"] = f"{difference:E}"
-    _emit_report(report, args)
-    return EXIT_OK
+        report["difference"] = f"{engine.requested_sum - value:E}"
+        lines += [
+            f"engine partial sum through {power} digits = "
+            f"{_value_str(engine.requested_sum, args.format)}",
+            f"difference = {report['difference']}",
+        ]
+    return report, lines
 
 
 _COMMANDS = {
@@ -412,13 +360,18 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        report, lines = _COMMANDS[args.command](args)
+        text = json.dumps(report, indent=2)
+        print(text if args.format == "json" else "\n".join(lines))
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
     except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -33,20 +33,12 @@ and grows the layout one condition at a time instead of decoding each slot.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from .fixedpoint import div_nearest, div_toward_zero
 from .model import ConditionSet
 from .powersums import PowerSumTable, digit_power_sum
-
-
-def expansion_coefficient(base: int, power: int, n: int) -> Fraction:
-    """The n-th series coefficient (-1)**n * C(power+n-1, n) / base**(power+n)."""
-    value = Fraction(math.comb(power + n - 1, n), base ** (power + n))
-    return -value if n & 1 else value
 
 
 @lru_cache(maxsize=32)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +18,13 @@ def assert_ulp(value, expected_text: str, ulps: int = 1) -> None:
     assert abs(got - expected) <= tolerance, (
         f"{got} differs from {expected_text} by more than {ulps} ulp"
     )
+
+
+def expansion_coefficient(base: int, power: int, n: int) -> Fraction:
+    """The n-th series coefficient (-1)**n * C(power+n-1, n) / base**(power+n),
+    the exact reference for the integer coefficients the recurrence uses."""
+    value = Fraction(math.comb(power + n - 1, n), base ** (power + n))
+    return -value if n & 1 else value
 
 
 @pytest.fixture

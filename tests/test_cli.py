@@ -327,6 +327,17 @@ class TestOracleCommand:
         assert "exact mode" in err
         assert out == ""
 
+    def test_refused_engine_leaves_stdout_empty(self, capsys):
+        # the oracle succeeds, the engine's table is refused: no partial report
+        code, out, err = run(
+            capsys,
+            "oracle", "--digits", "0,1,2,3,4,5,6,7,8,9",
+            "--counts", "5,5,5,5,5,5,5,5,5,5", "--limit", "1000", "--compare",
+        )
+        assert code == 5
+        assert out == ""
+        assert "table budget" in err
+
     def test_budget_exits_5(self, capsys):
         code, _, err = run(
             capsys,
@@ -377,3 +388,73 @@ class TestOracleCommand:
         assert code == 0
         # 1/1 + ... + 1/9: no one-digit number contains a zero
         assert "2.828968253968" in out
+
+
+_SUM_KEYS = [
+    "base", "digits", "counts", "mode", "decimals", "sum", "at_most_sum",
+    "per_count_sums", "digits_processed", "termination",
+]
+
+# name: (argv, what to read from stdout, stderr and the --output file, expected)
+_CONTRACT = {
+    "table header": (
+        ["table", "--row", "9"],
+        lambda out, err, path: out.splitlines()[0],
+        "d  zero occurrences            one occurrence              two occurrences",
+    ),
+    "active powers at -v 4": (
+        ["sum", "--digits", "9", "--counts", "0", "-v", "4"],
+        lambda out, err, path: err.splitlines()[1],
+        "partial sum for 1 digits = 2.7178571429, total = 2.7178571429, "
+        "active powers = 11",
+    ),
+    "finite-series note": (
+        ["sum", "--digits", "0,1", "--counts", "2,1", "--base", "2"],
+        lambda out, err, path: err.splitlines(),
+        ["this is a finite series that terminates after 3 digits"],
+    ),
+    "sum keys": (
+        ["sum", "--digits", "9", "--counts", "1", "--format", "json"],
+        lambda out, err, path: list(json.loads(out)),
+        _SUM_KEYS,
+    ),
+    "partial keys": (
+        ["partial", "--digits", "9", "--counts", "0", "--power", "3", "--format", "json"],
+        lambda out, err, path: list(json.loads(out)),
+        _SUM_KEYS + ["power"],
+    ),
+    "threshold keys": (
+        ["threshold", "--digits", "9", "--counts", "1", "--threshold", "23",
+         "--format", "json"],
+        lambda out, err, path: list(json.loads(out)),
+        ["base", "digits", "counts", "decimals", "threshold", "digits_low", "sum_low",
+         "digits_high", "sum_high"],
+    ),
+    "table keys": (
+        ["table", "--row", "9", "--format", "json"],
+        lambda out, err, path: list(json.loads(out)),
+        ["base", "decimals", "rows"],
+    ),
+    "oracle --compare keys": (
+        ["oracle", "--digits", "9", "--counts", "0", "--limit", "1000", "--compare",
+         "--format", "json"],
+        lambda out, err, path: list(json.loads(out)),
+        ["base", "digits", "counts", "mode", "decimals", "limit", "oracle_sum",
+         "engine_sum", "difference"],
+    ),
+    "output file matches json stdout": (
+        ["sum", "--digits", "9", "--counts", "2", "--format", "json", "--output", "FILE"],
+        lambda out, err, path: json.loads(path.read_text()) == json.loads(out),
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, read, expected", list(_CONTRACT.values()), ids=list(_CONTRACT)
+)
+def test_cli_contract(capsys, tmp_path, argv, read, expected):
+    path = tmp_path / "report.json"
+    code, out, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert code == 0
+    assert read(out, err, path) == expected

@@ -19,7 +19,7 @@ from irwinsums.fixedpoint import (
 )
 from irwinsums.model import ConditionSet, occurrence_index, occurrence_vector
 from irwinsums.powersums import digit_power_sum
-from irwinsums.recurrence import expansion_coefficient
+from conftest import expansion_coefficient
 
 
 @st.composite

@@ -18,8 +18,9 @@ from irwinsums.model import (
 )
 from irwinsums.oracle import block_cell_sums
 from irwinsums.powersums import PowerSumTable, digit_power_sum, direct_sum
-from irwinsums.recurrence import advance, expansion_coefficient, expansion_terms
+from irwinsums.recurrence import advance, expansion_terms
 from irwinsums.summation import build_plan, partial_sum
+from conftest import expansion_coefficient
 
 
 class TestExpansionCoefficient:
