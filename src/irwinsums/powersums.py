@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from operator import gt
 
-from .fixedpoint import div_nearest
 from .model import (
     ConditionSet,
     EstimateFailed,
@@ -62,6 +61,11 @@ def direct_sum(
     One pass over each integer's digits counts its constrained digits and
     builds its slot, ``sum(k_c * stride_c)``; integers whose counts stay within
     the bounds contribute 1/x**j to that cell, the rest nothing.
+
+    Each term is ``div_nearest(scale, x**j)`` without forming x**j: since
+    floor(floor(a/b)/c) = floor(a/(b*c)), q_j = floor(2*scale/x**j) is
+    q_(j-1) divided once by x, and (q_j + 1) >> 1 rounds it half up, except
+    for a tie (every remainder 0 and q_j odd), which rounds to even.
     """
     if digit_length < 1:
         raise ValueError("digit_length must be >= 1")
@@ -80,7 +84,7 @@ def direct_sum(
     for pos, d in enumerate(digits):
         slot_of_digit[d] = pos
 
-    scale = plan.scale
+    twice_scale = 2 * plan.scale
     rows = [[0] * conditions.cell_count for _ in range(max_power)]
 
     start = base ** (digit_length - 1)
@@ -98,13 +102,17 @@ def direct_sum(
         if any(map(gt, found, counts)):
             continue
 
-        xj = x
+        q = twice_scale
+        exact = True
         for row in rows:
-            term = div_nearest(scale, xj)
+            q, r = divmod(q, x)
+            exact = exact and not r
+            term = (q + 1) >> 1
+            if exact and q & 3 == 1:
+                term -= 1
             if term == 0:
                 break
             row[slot] += term
-            xj *= x
     return PowerSumTable(digit_length, rows)
 
 

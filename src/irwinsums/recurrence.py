@@ -71,11 +71,15 @@ def expansion_terms(
     constrained digit d))`` with ``w = (-1)**n * C(j+n-1, n) *
     base**(j_active-j-n)`` and ``bn[n]`` the unconstrained digits' power sum:
     folding base**(j_active-j-n) in lets a whole cell divide once by
-    base**j_active.
+    base**j_active.  A digit whose count is 0 is never a neighbour in
+    ``_slot_layout``, so its coefficient is never read and is 0 for every n.
     """
     base = conditions.base
     bn = [digit_power_sum(base, n, conditions) for n in range(j_active)]
-    dpow = [[d ** n for n in range(j_active)] for d in conditions.digits]
+    dpow = [
+        [d ** n for n in range(j_active)] if count else None
+        for d, count in zip(conditions.digits, conditions.counts)
+    ]
     for j in range(j_active, 0, -1):
         nmax = j_active - j
         base_pow = base ** nmax
@@ -85,7 +89,10 @@ def expansion_terms(
             signed = binom * base_pow
             if n & 1:
                 signed = -signed
-            coeffs.append((signed * bn[n], tuple(signed * row[n] for row in dpow)))
+            coeffs.append((
+                signed * bn[n],
+                tuple(signed * row[n] if row else 0 for row in dpow),
+            ))
             base_pow //= base
             binom = binom * (j + n) // (n + 1)
         yield j, coeffs

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from irwinsums.model import ConditionSet, RangeTooLarge
+from irwinsums.fixedpoint import div_nearest
+from irwinsums.model import ConditionSet, PrecisionPlan, RangeTooLarge, occurrence_index
 from irwinsums.oracle import block_cell_sums
 from irwinsums.powersums import digit_power_sum, direct_sum, estimate_max_power
 from irwinsums.summation import build_plan
@@ -77,6 +78,53 @@ class TestDirectSum:
         for j in range(1, 4):
             for slot in range(c.cell_count):
                 assert table.rows[j][slot] <= table.rows[j - 1][slot]
+
+    @pytest.mark.parametrize(
+        "digits,counts,base,decimals",
+        [
+            ([9], [0], 10, 300),
+            ([9], [1], 10, 120),
+            ([9, 3], [2, 1], 10, 60),
+            ([1], [0], 5, 100),
+            ([0, 4], [1, 2], 5, 30),
+            ([0], [2], 8, 150),
+            ([7], [1], 8, 15),
+            ([1], [1], 2, 99),
+            ([1], [1], 2, 297),
+            ([0, 1], [4, 7], 2, 40),
+        ],
+    )
+    def test_rows_equal_nearest_division_by_power(self, digits, counts, base, decimals):
+        # every term is div_nearest(scale, x**j), to the unit
+        c = ConditionSet.of(digits, counts, base=base)
+        plan = build_plan(c, decimals)
+        length, powers = plan.direct_sum_digits, plan.max_power
+        want = [[0] * c.cell_count for _ in range(powers)]
+        for x in range(base ** (length - 1), base ** length):
+            found = [0] * len(digits)
+            value = x
+            while value:
+                value, digit = divmod(value, base)
+                if digit in digits:
+                    found[digits.index(digit)] += 1
+            if any(k > n for k, n in zip(found, counts)):
+                continue
+            slot = occurrence_index(found, c)
+            for j in range(1, powers + 1):
+                want[j - 1][slot] += div_nearest(plan.scale, x ** j)
+        assert direct_sum(c, length, powers, plan).rows == want
+
+    def test_exact_tie_rounds_to_even(self):
+        # base-2 [1]x[1] at length 10 holds only x = 512; at power 34,
+        # 2 * 10**305 / 512**34 = 5**305 exactly, which is odd: a true tie
+        c = ConditionSet.of([1], [1], base=2)
+        plan = PrecisionPlan(
+            requested_decimals=300, working_decimals=305, max_power=40,
+            max_digit_length=11, direct_sum_digits=10,
+        )
+        assert 2 * plan.scale == 5 ** 305 * 512 ** 34
+        rows = direct_sum(c, 10, plan.max_power, plan).rows
+        assert rows[33][1] == div_nearest(10 ** 305, 512 ** 34)
 
     def test_block_total_is_at_most_block_sum(self):
         # summed over every occurrence vector, a block equals the brute-force

@@ -51,10 +51,11 @@ class TestExpansionCoefficient:
 
     def test_integer_terms_match_coefficients(self):
         # the shared integer terms are the coefficients over base**j_active,
-        # weighted by the unconstrained digits' power sums and by d**n
+        # weighted by the unconstrained digits' power sums and by d**n; a
+        # digit whose count is 0 is never read and gets exactly 0
         for digits, counts, base, j_active in [
             ([9, 3], [2, 1], 10, 7), ([0], [1], 2, 7), ([2], [0], 3, 7),
-            ([9, 3], [2, 1], 10, 60),
+            ([9, 3], [2, 0], 10, 7), ([9, 3], [2, 1], 10, 60),
         ]:
             c = ConditionSet.of(digits, counts, base=base)
             terms = list(expansion_terms(c, j_active))
@@ -64,7 +65,9 @@ class TestExpansionCoefficient:
                 for n, (k0, kcs) in enumerate(coeffs):
                     a = expansion_coefficient(base, j, n) * base ** j_active
                     assert k0 == a * digit_power_sum(base, n, c)
-                    assert kcs == tuple(a * d ** n for d in digits)
+                    assert kcs == tuple(
+                        a * d ** n if count else 0 for d, count in zip(digits, counts)
+                    )
 
 
 def seeded_plan(conditions, seed_digits, decimals=15):
