@@ -21,7 +21,10 @@ by back-substitution instead of walking the lengths one by one.
 
 One row kernel, ``_fill_row``, computes every cell of both: ``advance`` fills
 the next length's rows from the previous ones, and ``solve_tail`` fills the
-unknown rows from the seed and the rows it has already solved.
+unknown rows from the seed and the rows it has already solved.  Both skip
+terms that read only exact zeros: the solve evaluates a cell's terms only up
+to its height, the top power solved so far where the cell or a neighbour is
+nonzero, and a step fills no row above its input's top nonzero row.
 
 A step fills only the cells its length can reach: an i-digit integer has at
 most i constrained digits, and exactly i when every digit is constrained.
@@ -34,6 +37,7 @@ and grows the layout one condition at a time instead of decoding each slot.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 from typing import Callable, Iterable, Iterator
 
 from .fixedpoint import div_nearest, div_toward_zero
@@ -105,28 +109,31 @@ def _fill_row(
     coeffs: list[tuple[int, tuple[int, ...]]],
     neighbors: tuple[tuple[tuple[int, int], ...], ...],
     slots: Iterable[int],
+    reaches: Iterable[range],
     divisor: int,
     rounding: Callable[[int, int], int],
 ) -> None:
-    """Write one power's row: for each slot, ``start[slot]`` plus every
-    expansion term, read from ``sources[n]`` (power j + n) at the slot and at
-    ``slot - stride`` for each ``(c, stride)`` in ``neighbors[slot]`` (the
-    slot with count c decremented), rounded over ``divisor``.
+    """Write one power's row: for each slot, ``start[slot]`` plus the
+    expansion terms n in its reach (zipped with ``slots``), read from
+    ``sources[n]`` (power j + n) at the slot and at ``slot - stride`` for each
+    ``(c, stride)`` in ``neighbors[slot]`` (the slot with count c
+    decremented), rounded over ``divisor``.  A reach may leave out only terms
+    whose sources are all exact 0, so it changes no integer.
 
     ``row`` may alias ``start`` (each slot is read before it is written) or
     ``sources[0]``: neighbours lie at lower slots, so their terms read values
     this call already wrote, as back-substitution needs.
     """
-    n_range = range(len(coeffs))
-    for slot in slots:
+    for slot, reach in zip(slots, reaches):
         s = start[slot]
         nbr = neighbors[slot]
-        for n in n_range:
+        for n in reach:
             src = sources[n]
             k0, kcs = coeffs[n]
-            tv = src[slot]
-            if tv and k0:
-                s += k0 * tv
+            if k0:
+                tv = src[slot]
+                if tv:
+                    s += k0 * tv
             for c, stride in nbr:
                 tv2 = src[slot - stride]
                 if tv2:
@@ -134,6 +141,11 @@ def _fill_row(
                     if kc:
                         s += kc * tv2
         row[slot] = rounding(s, divisor)
+
+
+def _top(rows: list[list[int]], j: int) -> int:
+    """The highest power up to j whose row is not all 0, or 0 when none is."""
+    return next((p for p in range(j, 0, -1) if any(rows[p - 1])), 0)
 
 
 def advance(
@@ -146,7 +158,8 @@ def advance(
     itself); every other slot would read exact zeros.  Returns the new table
     (powers 1..j_active) and ``live``, the highest power whose row is not all
     0 (0 when none is).  Rows j..J read only rows j..J, so the rows above
-    ``live`` stay exactly 0 at every later digit length.
+    ``live`` stay exactly 0 at every later digit length; for the same reason
+    no row or term above the input's top nonzero row is computed.
     """
     if len(table.rows) < j_active:
         raise ValueError(
@@ -158,17 +171,18 @@ def advance(
     targets = [slot for slot, w in enumerate(weights) if low <= w <= length]
 
     rows_prev = table.rows
+    top = _top(rows_prev, j_active)
     divisor = conditions.base ** j_active
     new_rows: list[list[int]] = [[]] * j_active
     for j, coeffs in expansion_terms(conditions, j_active):
         row = [0] * len(weights)
-        _fill_row(
-            row, row, rows_prev[j - 1 :], coeffs, neighbors, targets,
-            divisor, div_toward_zero,
-        )
+        if j <= top:
+            _fill_row(
+                row, row, rows_prev[j - 1 :], coeffs, neighbors, targets,
+                repeat(range(top - j + 1)), divisor, div_toward_zero,
+            )
         new_rows[j - 1] = row
-    live = next((j for j in range(j_active, 0, -1) if any(new_rows[j - 1])), 0)
-    return PowerSumTable(length, new_rows), live
+    return PowerSumTable(length, new_rows), _top(new_rows, top)
 
 
 def solve_tail(seed: PowerSumTable, conditions: ConditionSet) -> list[int]:
@@ -187,13 +201,20 @@ def solve_tail(seed: PowerSumTable, conditions: ConditionSet) -> list[int]:
     j_max = len(seed.rows)
     cells = range(conditions.cell_count)
     neighbors, _ = _slot_layout(conditions)
+    strides = [s for s, n in zip(conditions.strides, conditions.counts) if n]
     scaled = conditions.base ** j_max
     z = [[0] * conditions.cell_count for _ in range(j_max)]
+    # height[slot]: the top power solved so far where the slot, or a slot one
+    # stride below it, is nonzero; every term for a higher power reads 0.
+    height = [0] * conditions.cell_count
     for j, coeffs in expansion_terms(conditions, j_max):
         # coeffs[0][0] * z[j - 1][slot] is the diagonal term; the cell is still
         # 0 when its own sum reads it, and the diagonal moves into the divisor.
         _fill_row(
             z[j - 1], [scaled * v for v in seed.rows[j - 1]], z[j - 1 :], coeffs,
-            neighbors, cells, scaled - coeffs[0][0], div_nearest,
+            neighbors, cells, (range(max(1, h - j + 1)) for h in height),
+            scaled - coeffs[0][0], div_nearest,
         )
+        nz = [j if v else 0 for v in z[j - 1]]
+        height = list(map(max, height, nz, *([0] * s + nz[:-s] for s in strides)))
     return z[0]

@@ -1,15 +1,17 @@
 """Recurrence step: expansion coefficients, table advancement over the cells a
-digit length can reach, and the walk dropping powers whose rows have become
-all zero."""
+digit length can reach, the walk dropping powers whose rows have become all
+zero, and the row kernel skipping only terms that read exact zeros."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 
 import irwinsums.recurrence as recurrence
+from irwinsums.fixedpoint import div_nearest, div_toward_zero
 from irwinsums.model import (
     ConditionSet,
     PrecisionPlan,
@@ -18,7 +20,7 @@ from irwinsums.model import (
 )
 from irwinsums.oracle import block_cell_sums
 from irwinsums.powersums import PowerSumTable, digit_power_sum, direct_sum
-from irwinsums.recurrence import advance, expansion_terms
+from irwinsums.recurrence import advance, expansion_terms, solve_tail
 from irwinsums.summation import build_plan, partial_sum
 from conftest import expansion_coefficient
 
@@ -257,8 +259,86 @@ class TestSlotLayout:
                 assert slot - stride == occurrence_index(lower, c)
 
 
+def full_term_step(table, conditions, j_active):
+    """``advance`` with every row and every expansion term of every slot
+    evaluated: the reference for the terms it skips."""
+    neighbors, weights = recurrence._slot_layout(conditions)
+    length = table.digit_length + 1
+    low = length if conditions.is_finite_series() else 0
+    targets = [slot for slot, w in enumerate(weights) if low <= w <= length]
+    rows = [[0] * len(weights) for _ in range(j_active)]
+    for j, coeffs in expansion_terms(conditions, j_active):
+        recurrence._fill_row(
+            rows[j - 1], rows[j - 1], table.rows[j - 1 :], coeffs, neighbors,
+            targets, repeat(range(len(coeffs))), conditions.base ** j_active,
+            div_toward_zero,
+        )
+    live = max((j for j, row in enumerate(rows, 1) if any(row)), default=0)
+    return PowerSumTable(length, rows), live
+
+
+def full_term_solve(seed, conditions):
+    """``solve_tail`` with every expansion term of every slot evaluated."""
+    j_max = len(seed.rows)
+    neighbors, _ = recurrence._slot_layout(conditions)
+    scaled = conditions.base ** j_max
+    z = [[0] * conditions.cell_count for _ in range(j_max)]
+    for j, coeffs in expansion_terms(conditions, j_max):
+        recurrence._fill_row(
+            z[j - 1], [scaled * v for v in seed.rows[j - 1]], z[j - 1 :], coeffs,
+            neighbors, range(conditions.cell_count), repeat(range(len(coeffs))),
+            scaled - coeffs[0][0], div_nearest,
+        )
+    return z[0]
+
+
+class TestSkippedTermsAreExactZeros:
+    @pytest.mark.parametrize(
+        "digits,counts,base,decimals",
+        [
+            ([0], [100], 10, 120),
+            ([0], [43], 10, 20),
+            ([1, 2, 3, 4, 5], [1, 2, 3, 4, 5], 10, 22),
+            (list(range(1, 10)), [1] * 9, 10, 20),
+            ([9], [1], 10, 200),
+            ([1], [1], 2, 60),
+            ([0], [2], 8, 100),
+        ],
+    )
+    def test_solve_equals_full_term_solve(self, digits, counts, base, decimals):
+        # terms past a cell's height read only exact zeros, so skipping them
+        # changes no integer of the solve
+        c = ConditionSet.of(digits, counts, base=base)
+        plan = build_plan(c, decimals)
+        seed = direct_sum(c, plan.direct_sum_digits, plan.max_power, plan)
+        assert solve_tail(seed, c) == full_term_solve(seed, c)
+
+    @pytest.mark.parametrize(
+        "digits,counts,base",
+        [([9], [1], 10), ([9, 3], [2, 1], 10), ([0], [100], 10), ([1], [1], 2)],
+    )
+    def test_step_equals_full_term_step(self, digits, counts, base):
+        # a table whose rows above `top` are 0: the step skips those rows and
+        # every term reading them, with the same table and the same `live`
+        c = ConditionSet.of(digits, counts, base=base)
+        plan = build_plan(c, 15)
+        seeded = direct_sum(c, 3, plan.max_power, plan)
+        zero = [0] * c.cell_count
+        for top in (0, 1, 2, plan.max_power // 2, plan.max_power):
+            table = want = PowerSumTable(
+                3, seeded.rows[:top] + [zero] * (plan.max_power - top)
+            )
+            for _ in range(3):
+                table, live = advance(table, c, plan.max_power)
+                want, want_live = full_term_step(want, c, plan.max_power)
+                assert table.rows == want.rows
+                assert live == want_live <= top
+                assert table.digit_length == want.digit_length
+
+
 def walk_totals(conditions, digit_limit, plan):
-    """Per-level totals of a walk that keeps every power at every length."""
+    """Per-level totals of a walk that keeps every power at every length and
+    evaluates every expansion term."""
     target = conditions.cell_count - 1
     total = 0
     totals = []
@@ -267,7 +347,7 @@ def walk_totals(conditions, digit_limit, plan):
             seeds = i == plan.direct_sum_digits
             table = direct_sum(conditions, i, plan.max_power if seeds else 1, plan)
         else:
-            table, _ = advance(table, conditions, plan.max_power)
+            table, _ = full_term_step(table, conditions, plan.max_power)
         total += table.rows[0][target]
         totals.append((i, total))
     return totals
@@ -279,6 +359,7 @@ class TestShrinkActivePowers:
         [
             ([9], [1], 10, 200),
             ([0], [10], 10, 210),
+            ([0], [100], 10, 60),
             ([9, 3], [2, 1], 10, 60),
             ([0], [1], 2, 60),
             (list(range(10)), [1] * 10, 10, 10),
