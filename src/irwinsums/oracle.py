@@ -18,7 +18,6 @@ one.  Only the per-integer term (one division or one ``Fraction``) remains.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
@@ -183,6 +182,7 @@ def brute_force_sum(
     if len(spans) == 1:
         total = _chunk_mantissa_sum(conditions, 1, limit, exact, scale)
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(spans))) as pool:
             futures = [
                 pool.submit(_chunk_mantissa_sum, conditions, a, b, exact, scale)

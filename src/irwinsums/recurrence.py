@@ -24,7 +24,8 @@ the next length's rows from the previous ones, and ``solve_tail`` fills the
 unknown rows from the seed and the rows it has already solved.  Both skip
 terms that read only exact zeros: the solve evaluates a cell's terms only up
 to its height, the top power solved so far where the cell or a neighbour is
-nonzero, and a step fills no row above its input's top nonzero row.
+nonzero, and a step's coefficients and divisor belong to its input's top
+nonzero power (a higher power would scale numerators and divisor alike).
 
 A step fills only the cells its length can reach: an i-digit integer has at
 most i constrained digits, and exactly i when every digit is constrained.
@@ -159,7 +160,10 @@ def advance(
     (powers 1..j_active) and ``live``, the highest power whose row is not all
     0 (0 when none is).  Rows j..J read only rows j..J, so the rows above
     ``live`` stay exactly 0 at every later digit length; for the same reason
-    no row or term above the input's top nonzero row is computed.
+    the step's coefficients and divisor ``base**top`` belong to its input's
+    top nonzero power ``top``, and rows above it stay 0.  Sizing the step by
+    ``j_active`` would scale every numerator and the divisor by
+    ``base**(j_active - top)``, which changes no quotient.
     """
     if len(table.rows) < j_active:
         raise ValueError(
@@ -170,18 +174,14 @@ def advance(
     low = length if conditions.is_finite_series() else 0
     targets = [slot for slot, w in enumerate(weights) if low <= w <= length]
 
-    rows_prev = table.rows
-    top = _top(rows_prev, j_active)
-    divisor = conditions.base ** j_active
-    new_rows: list[list[int]] = [[]] * j_active
-    for j, coeffs in expansion_terms(conditions, j_active):
-        row = [0] * len(weights)
-        if j <= top:
-            _fill_row(
-                row, row, rows_prev[j - 1 :], coeffs, neighbors, targets,
-                repeat(range(top - j + 1)), divisor, div_toward_zero,
-            )
-        new_rows[j - 1] = row
+    top = _top(table.rows, j_active)
+    new_rows = [[0] * len(weights) for _ in range(j_active)]
+    for j, coeffs in expansion_terms(conditions, top):
+        row = new_rows[j - 1]
+        _fill_row(
+            row, row, table.rows[j - 1 :], coeffs, neighbors, targets,
+            repeat(range(len(coeffs))), conditions.base ** top, div_toward_zero,
+        )
     return PowerSumTable(length, new_rows), _top(new_rows, top)
 
 

@@ -151,6 +151,8 @@ def _compute(
     """Run the engine; see the public wrappers for the result contracts.  A
     ``walk`` passed in is consumed only through the run's last length."""
     plan = plan or build_plan(conditions, requested_decimals)
+    if plan.requested_decimals != clamp_decimals(requested_decimals):
+        raise ValueError(f"the plan is for {plan.requested_decimals} decimals")
     if conditions.cell_count * plan.max_power > TABLE_CELL_LIMIT:
         raise RangeTooLarge(
             f"{conditions.cell_count} cells x {plan.max_power} powers exceed "
@@ -229,29 +231,27 @@ def partial_sum(
 
 def threshold_search(
     conditions: ConditionSet,
-    threshold: Union[str, int],
+    threshold: Union[str, int, Decimal],
     requested_decimals: int = 15,
     threshold_decimals: Optional[int] = None,
 ) -> ThresholdResult:
     """Find consecutive digit lengths d, d+1 whose partial sums bracket a
     threshold: partial(d) < threshold <= partial(d+1).
 
-    The threshold must be text (or an int), parsed exactly; float input is
-    refused because a binary approximation silently shifts the target.  The
-    number of fractional digits in the text (or ``threshold_decimals`` when
-    given) states how many decimals of the threshold are meant: if the series
-    total agrees with the threshold through all of them, the bracket is not
-    determined and :class:`InsufficientAccuracy` is raised.
+    The threshold (text, an int or a ``Decimal``) is parsed exactly from its
+    plain decimal ``str``, else ``ValueError``; float input is refused because
+    a binary approximation silently shifts the target.  The number of
+    fractional digits in the text (or ``threshold_decimals`` when given)
+    states how many decimals are meant: if the series total agrees with the
+    threshold through all of them, the bracket is not determined and
+    :class:`InsufficientAccuracy` is raised.
     """
     if isinstance(threshold, float):
         raise TypeError(
-            "threshold must be a string (or int); float thresholds lose the "
-            "accuracy needed to place the bracket"
+            "threshold must be a string, an int or a Decimal; float thresholds "
+            "lose the accuracy needed to place the bracket"
         )
-    if isinstance(threshold, int):
-        value, textual_decimals = Fraction(threshold), None
-    else:
-        value, textual_decimals = parse_exact_decimal(threshold)
+    value, textual_decimals = parse_exact_decimal(str(threshold))
     if value <= 0:
         raise ValueError("threshold must be positive")
     if threshold_decimals is not None and threshold_decimals < 0:

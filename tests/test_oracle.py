@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import ast
+import concurrent.futures
+import os
+import subprocess
+import sys
 from concurrent.futures import Future
 from decimal import Decimal
 from fractions import Fraction
@@ -228,7 +232,7 @@ class TestProcessPool:
                 future.set_result(fn(conditions, start, stop, *rest))
                 return future
 
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         return created
 
     @pytest.mark.parametrize("base, width", [(10, 1000), (2, 1024), (3, 2187)])
@@ -257,6 +261,17 @@ class TestProcessPool:
             with pytest.raises(ValueError):
                 brute_force_sum(c, limit, jobs=jobs)
         assert pools == []
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # only a brute_force_sum split over several spans needs the pool
+    src = str(Path(oracle.__file__).parents[1])
+    code = 'import sys, irwinsums, irwinsums.cli; print("multiprocessing" in sys.modules)'
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert out.stdout == "False\n"
 
 
 def test_oracle_imports_only_fixedpoint_and_model():

@@ -163,6 +163,18 @@ class TestIrwinSum:
         assert r.decimals == 5
         assert r.requested_sum == Decimal("22.92068")
 
+    def test_plan_must_match_requested_decimals(self):
+        # a plan built for other decimals is refused, not silently obeyed
+        c = ConditionSet.of([9], [0])
+        with pytest.raises(ValueError, match="plan is for 20 decimals"):
+            irwin_sum(c, 30, plan=build_plan(c, 20))
+        with pytest.raises(ValueError, match="plan is for 20 decimals"):
+            partial_sum(c, 5, 30, plan=build_plan(c, 20))
+        # the requested decimals are compared after clamping to the minimum
+        assert irwin_sum(c, 3, plan=build_plan(c, 3)) == irwin_sum(c, 3)
+        assert irwin_sum(c, 3, plan=build_plan(c, 5)) == irwin_sum(c, 5)
+        assert partial_sum(c, 5, 3, plan=build_plan(c, 3)) == partial_sum(c, 5, 5)
+
     def test_decimals_above_cap_are_refused(self):
         c = ConditionSet.of([9], [0])
         with pytest.raises(RangeTooLarge):
@@ -288,6 +300,17 @@ class TestThresholdSearch:
     def test_float_threshold_is_refused(self):
         with pytest.raises(TypeError):
             threshold_search(ConditionSet.of([9], [1]), 23.0, 15)
+
+    def test_decimal_threshold_brackets_like_its_text(self):
+        c = ConditionSet.of([9], [1])
+        r = threshold_search(c, Decimal("23"), 15)
+        assert (r.digits_low, r.digits_high) == (80, 81)
+        assert r == threshold_search(c, "23", 15)
+
+    @pytest.mark.parametrize("threshold", [Fraction(1, 3), True])
+    def test_threshold_without_plain_decimal_text_is_refused(self, threshold):
+        with pytest.raises(ValueError):
+            threshold_search(ConditionSet.of([9], [1]), threshold, 15)
 
     def test_first_block_crossing_gives_zero_low_digits(self):
         r = threshold_search(ConditionSet.of([9], [0]), "0.5", 15)
