@@ -66,40 +66,38 @@ def _slot_layout(conditions: ConditionSet) -> tuple[tuple, tuple[int, ...]]:
 
 
 def expansion_terms(
-    conditions: ConditionSet, j_active: int
+    conditions: ConditionSet, top: int
 ) -> Iterator[tuple[int, list[tuple[int, tuple[int, ...]]]]]:
-    """Integer expansion coefficients of one step, over the divisor base**j_active.
+    """Integer expansion coefficients of one step, over the divisor base**top.
 
-    Yields ``(j, coeffs)`` for target powers j = j_active down to 1, one at a
-    time so that only one power's coefficients are alive.  ``coeffs[n]``
-    (0 <= n <= j_active - j) is the pair ``(w * bn[n], (w * d**n for each
-    constrained digit d))`` with ``w = (-1)**n * C(j+n-1, n) *
-    base**(j_active-j-n)`` and ``bn[n]`` the unconstrained digits' power sum:
-    folding base**(j_active-j-n) in lets a whole cell divide once by
-    base**j_active.  A digit whose count is 0 is never a neighbour in
-    ``_slot_layout``, so its coefficient is never read and is 0 for every n.
+    Yields ``(j, coeffs)`` for target powers j = top down to 1, one at a time
+    so that only one power's coefficients are alive.  ``coeffs[n]``
+    (0 <= n <= top - j) is ``(w * X_n, (w * d**n for each constrained digit
+    d))``, with X_n the unconstrained digits' n-th power sum and ``w =
+    (-1)**n * C(j+n-1, n) * base**(top-j-n)``, so a whole cell divides once by
+    base**top.  A count-0 digit is never a neighbour in ``_slot_layout``; its
+    entry is 0 for every n.
+
+    Row j is row j + 1 times ``base * j / (j + n)``, as C(j+n-1, n) / C(j+n, n)
+    = j / (j + n); the division is exact because both rows hold integers.  Row
+    j then adds one new term, n = top - j, of weight ``(-1)**n * C(top-1, n)``.
     """
-    base = conditions.base
-    bn = [digit_power_sum(base, n, conditions) for n in range(j_active)]
-    dpow = [
-        [d ** n for n in range(j_active)] if count else None
-        for d, count in zip(conditions.digits, conditions.counts)
-    ]
-    for j in range(j_active, 0, -1):
-        nmax = j_active - j
-        base_pow = base ** nmax
-        binom = 1  # C(j+n-1, n), carried from n to n + 1
-        coeffs = []
-        for n in range(nmax + 1):
-            signed = binom * base_pow
-            if n & 1:
-                signed = -signed
-            coeffs.append((
-                signed * bn[n],
-                tuple(signed * row[n] if row else 0 for row in dpow),
-            ))
-            base_pow //= base
-            binom = binom * (j + n) // (n + 1)
+    base, digits, counts = conditions.base, conditions.digits, conditions.counts
+    coeffs: list[tuple[int, tuple[int, ...]]] = []
+    binom = 1  # C(top-1, n) for the new term n = top - j
+    for j in range(top, 0, -1):
+        f = base * j
+        coeffs = [
+            (k0 * f // (j + n), tuple(kc * f // (j + n) for kc in kcs))
+            for n, (k0, kcs) in enumerate(coeffs)
+        ]
+        n = top - j
+        signed = -binom if n & 1 else binom
+        coeffs.append((
+            signed * digit_power_sum(base, n, conditions),
+            tuple(signed * d ** n if count else 0 for d, count in zip(digits, counts)),
+        ))
+        binom = binom * (j - 1) // (n + 1)
         yield j, coeffs
 
 

@@ -238,20 +238,21 @@ def threshold_search(
     """Find consecutive digit lengths d, d+1 whose partial sums bracket a
     threshold: partial(d) < threshold <= partial(d+1).
 
-    The threshold (text, an int or a ``Decimal``) is parsed exactly from its
-    plain decimal ``str``, else ``ValueError``; float input is refused because
-    a binary approximation silently shifts the target.  The number of
-    fractional digits in the text (or ``threshold_decimals`` when given)
-    states how many decimals are meant: if the series total agrees with the
-    threshold through all of them, the bracket is not determined and
-    :class:`InsufficientAccuracy` is raised.
+    The threshold (text, an int or a ``Decimal``, where ``Decimal("1E-7")``
+    means 0.0000001) is parsed exactly as plain decimal text, else
+    ``ValueError``; float input is refused because a binary approximation
+    silently shifts the target.  The number of fractional digits in the text
+    (or ``threshold_decimals`` when given) states how many decimals are meant:
+    if the series total agrees with the threshold through all of them, the
+    bracket is not determined and :class:`InsufficientAccuracy` is raised.
     """
     if isinstance(threshold, float):
         raise TypeError(
             "threshold must be a string, an int or a Decimal; float thresholds "
             "lose the accuracy needed to place the bracket"
         )
-    value, textual_decimals = parse_exact_decimal(str(threshold))
+    text = format(threshold, "f") if isinstance(threshold, Decimal) else str(threshold)
+    value, textual_decimals = parse_exact_decimal(text)
     if value <= 0:
         raise ValueError("threshold must be positive")
     if threshold_decimals is not None and threshold_decimals < 0:

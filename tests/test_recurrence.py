@@ -58,6 +58,10 @@ class TestExpansionCoefficient:
         for digits, counts, base, j_active in [
             ([9, 3], [2, 1], 10, 7), ([0], [1], 2, 7), ([2], [0], 3, 7),
             ([9, 3], [2, 0], 10, 7), ([9, 3], [2, 1], 10, 60),
+            # deep rows, base 2, ten conditions, and a constrained 0 beside a
+            # count-0 digit: each row is the row above times an exact factor
+            ([9], [1], 10, 250), ([1], [1], 2, 120),
+            (list(range(10)), [1] * 10, 10, 25), ([0, 5], [3, 0], 10, 40),
         ]:
             c = ConditionSet.of(digits, counts, base=base)
             terms = list(expansion_terms(c, j_active))

@@ -306,6 +306,14 @@ class TestThresholdSearch:
         r = threshold_search(c, Decimal("23"), 15)
         assert (r.digits_low, r.digits_high) == (80, 81)
         assert r == threshold_search(c, "23", 15)
+        # a Decimal whose str has an exponent is read as its plain text
+        assert threshold_search(c, Decimal("1E+1"), 15) == threshold_search(c, "10", 15)
+        s100 = ConditionSet.of([0], [100])
+        r = threshold_search(s100, Decimal("0.0000001"), 15)
+        assert (r.digits_low, r.digits_high) == (558, 559)
+        assert r == threshold_search(s100, "0.0000001", 15)
+        with pytest.raises(ValueError):
+            threshold_search(c, Decimal("NaN"), 15)
 
     @pytest.mark.parametrize("threshold", [Fraction(1, 3), True])
     def test_threshold_without_plain_decimal_text_is_refused(self, threshold):
