@@ -220,7 +220,7 @@ MAX_REQUESTED_DECIMALS = 1000
 
 @dataclass(frozen=True)
 class PrecisionPlan:
-    """Working precision, truncation order, and loop caps for one run.
+    """Working precision, truncation order and seed length for one run.
 
     ``working_decimals`` is the scale of all fixed-point mantissas; results
     are rounded half-even to ``requested_decimals`` only at the output step.
@@ -229,7 +229,6 @@ class PrecisionPlan:
     requested_decimals: int
     working_decimals: int
     max_power: int
-    max_digit_length: int
     direct_sum_digits: int
     scale: int = field(init=False, repr=False)
 
@@ -240,8 +239,8 @@ class PrecisionPlan:
             raise ValueError("working precision needs at least 2 guard decimals")
         if self.max_power < 1:
             raise ValueError("max_power must be >= 1")
-        if self.max_digit_length < self.direct_sum_digits + 1:
-            raise ValueError("max_digit_length must exceed direct_sum_digits")
+        if self.direct_sum_digits < 1:
+            raise ValueError("direct_sum_digits must be >= 1")
         object.__setattr__(self, "scale", 10 ** self.working_decimals)
 
 
@@ -253,15 +252,3 @@ def clamp_decimals(requested_decimals: int) -> int:
             f"{decimals} decimals exceed the cap of {MAX_REQUESTED_DECIMALS}"
         )
     return max(decimals, MIN_REQUESTED_DECIMALS)
-
-
-def default_max_digit_length(requested_decimals: int, max_count: int) -> int:
-    """Bound on the digit lengths a threshold walk may take before giving up.
-
-    Large occurrence counts push the mass of the series to long denominators,
-    so the cap grows sixfold once any count exceeds 10.
-    """
-    cap = max(60 * requested_decimals, 500)
-    if max_count > 10:
-        cap *= 6
-    return cap

@@ -203,12 +203,7 @@ def block_cell_sums(
     if stop > ENUMERATION_BUDGET:
         raise LimitTooLarge(f"{base}**{digit_length} exceeds the enumeration budget")
 
-    strides = []
-    stride = 1
-    for n in conditions.counts:
-        strides.append(stride)
-        stride *= n + 1
-
+    strides = conditions.strides
     scale = 10 ** (decimals + 10)
     term = partial(div_nearest, scale)
     cells = [0] * conditions.cell_count

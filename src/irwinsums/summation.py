@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain, compress, count, islice
+from itertools import chain, compress, count, islice, takewhile
 from typing import Callable, Iterator, Optional, Union
 
 from .fixedpoint import fixed_to_decimal, parse_exact_decimal
@@ -28,7 +28,6 @@ from .model import (
     RangeTooLarge,
     ThresholdAboveTotal,
     clamp_decimals,
-    default_max_digit_length,
     direct_sum_digit_count,
 )
 from .powersums import PowerSumTable, direct_sum, estimate_max_power
@@ -101,7 +100,6 @@ def build_plan(conditions: ConditionSet, requested_decimals: int) -> PrecisionPl
         requested_decimals=decimals,
         working_decimals=decimals + guard,
         max_power=estimate_max_power(conditions.base, decimals, ds_digits),
-        max_digit_length=default_max_digit_length(decimals, max(conditions.counts)),
         direct_sum_digits=ds_digits,
     )
 
@@ -118,7 +116,8 @@ def _walk(
     ``sums`` is one list, updated in place: per cell, the sum of every block
     through ``digit_length``.  Only a block's nonzero cells are added; a
     finite series' block at length i is nonzero only where |k| = i, and the
-    series stops at its longest denominator.  Callers slice infinite walks.
+    series stops at its longest denominator.  Callers stop infinite walks:
+    at a digit length, or at the first table that reads all exact zeros.
     """
     finite = conditions.is_finite_series()
     lengths = range(1, conditions.finite_digit_limit() + 1) if finite else count(1)
@@ -245,6 +244,14 @@ def threshold_search(
     (or ``threshold_decimals`` when given) states how many decimals are meant:
     if the series total agrees with the threshold through all of them, the
     bracket is not determined and :class:`InsufficientAccuracy` is raised.
+
+    The walk ends at the crossing or at its first all-zero table, which
+    steps only to all-zero tables.  Every walk decays to one: the top nonzero
+    row steps with divisor ``base**top`` and no higher terms, reading each
+    cell with total weight at most ``base``, so from power 2 up its sum of
+    magnitudes falls ``base``-fold a length; with power 1 alone a cell steps
+    to ``trunc(((base - m) * v + lower neighbours) / base)``, m >= 1
+    constrained digits, so by induction over slot order every cell gets to 0.
     """
     if isinstance(threshold, float):
         raise TypeError(
@@ -287,26 +294,20 @@ def threshold_search(
             "precision given; supply more threshold digits"
         )
 
-    # The walk goes on from the length after the last kept sum.  A
-    # partial_sum run to either length gives these totals bit for bit: the
-    # seed's power-1 row and the dropped powers do not depend on the limit.
-    later = (s[-1] for *_, s in walk)
+    # The walk goes on from the length after the last kept sum to its first
+    # all-zero table.  A partial_sum run to either length gives these totals
+    # bit for bit: the seed's power-1 row and dropped powers ignore the limit.
+    live = takewhile(lambda step: any(map(any, step[1].rows)), walk)
+    later = (s[-1] for *_, s in live)
     working = plan.working_decimals
     sum_high = fixed_to_decimal(0, working, decimals)
-    for digits_high, running in enumerate(
-        islice(chain(sums, later), plan.max_digit_length), 1
-    ):
+    for digits_high, running in enumerate(chain(sums, later), 1):
         sum_low, sum_high = sum_high, fixed_to_decimal(running, working, decimals)
         if sum_high >= value:
             break
     else:
         raise InsufficientAccuracy(
             "partial sums never reached the threshold before convergence; "
-            "supply more threshold digits"
-        )
-    if not (sum_low < value <= sum_high):
-        raise InsufficientAccuracy(
-            "bracket could not be certified at working precision; "
             "supply more threshold digits"
         )
 

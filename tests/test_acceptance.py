@@ -146,7 +146,6 @@ def seeded_plan(conditions, seed_digits, decimals):
         max_power=estimate_max_power(
             conditions.base, plan.working_decimals, seed_digits
         ),
-        max_digit_length=plan.max_digit_length,
         direct_sum_digits=plan.direct_sum_digits,
     )
 
@@ -285,7 +284,6 @@ def test_13_property_suite():
             requested_decimals=plan.requested_decimals,
             working_decimals=plan.working_decimals,
             max_power=2 * plan.max_power,
-            max_digit_length=plan.max_digit_length,
             direct_sum_digits=plan.direct_sum_digits,
         )
         assert abs(

@@ -9,8 +9,6 @@ import pytest
 
 import irwinsums.cli as cli
 import irwinsums.summation as summation
-from irwinsums.model import PrecisionPlan
-from irwinsums.summation import build_plan
 
 
 def run(capsys, *argv):
@@ -74,24 +72,6 @@ class TestSumCommand:
         code, _, err = run(capsys, "sum", "--digits", "9,9", "--counts", "1,2")
         assert code == 2
         assert "duplicated" in err
-
-    def test_digit_cap_does_not_stop_sum(self, capsys, monkeypatch):
-        real_build_plan = build_plan
-
-        def capped(conditions, decimals):
-            plan = real_build_plan(conditions, decimals)
-            return PrecisionPlan(
-                requested_decimals=plan.requested_decimals,
-                working_decimals=plan.working_decimals,
-                max_power=plan.max_power,
-                max_digit_length=10,
-                direct_sum_digits=plan.direct_sum_digits,
-            )
-
-        monkeypatch.setattr(cli, "build_plan", capped)
-        code, out, _ = run(capsys, "sum", "--digits", "9", "--counts", "0", "-v", "0")
-        assert code == 0
-        assert out.strip() == "22.920676619264150"
 
     def test_threads_belongs_to_oracle_only(self, capsys):
         with pytest.raises(SystemExit) as exc:

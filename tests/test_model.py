@@ -20,7 +20,6 @@ from irwinsums.model import (
     TooManyConditions,
     ValidationError,
     clamp_decimals,
-    default_max_digit_length,
     direct_sum_digit_count,
     occurrence_index,
     occurrence_vector,
@@ -145,7 +144,6 @@ class TestPrecisionPlan:
             requested_decimals=15,
             working_decimals=23,
             max_power=12,
-            max_digit_length=900,
             direct_sum_digits=3,
         )
         defaults.update(kwargs)
@@ -166,14 +164,11 @@ class TestPrecisionPlan:
         with pytest.raises(RangeTooLarge, match="cap of 1000"):
             clamp_decimals(1001)
 
-    def test_digit_cap_floor(self):
-        with pytest.raises(ValueError):
-            self.plan(max_digit_length=3)
-
-    def test_default_digit_cap(self):
-        assert default_max_digit_length(15, 0) == 900
-        assert default_max_digit_length(5, 2) == 500
-        assert default_max_digit_length(20, 43) == 7200
+    def test_seed_length_floor(self):
+        with pytest.raises(ValueError, match="direct_sum_digits"):
+            self.plan(direct_sum_digits=0)
+        with pytest.raises(ValueError, match="direct_sum_digits"):
+            self.plan(direct_sum_digits=-2)
 
     def test_direct_sum_digits(self):
         assert direct_sum_digit_count(10) == 3

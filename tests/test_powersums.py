@@ -120,7 +120,7 @@ class TestDirectSum:
         c = ConditionSet.of([1], [1], base=2)
         plan = PrecisionPlan(
             requested_decimals=300, working_decimals=305, max_power=40,
-            max_digit_length=11, direct_sum_digits=10,
+            direct_sum_digits=10,
         )
         assert 2 * plan.scale == 5 ** 305 * 512 ** 34
         rows = direct_sum(c, 10, plan.max_power, plan).rows

@@ -5,6 +5,7 @@ zero, and the row kernel skipping only terms that read exact zeros."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import repeat
 
@@ -14,7 +15,6 @@ import irwinsums.recurrence as recurrence
 from irwinsums.fixedpoint import div_nearest, div_toward_zero
 from irwinsums.model import (
     ConditionSet,
-    PrecisionPlan,
     occurrence_index,
     occurrence_vector,
 )
@@ -83,14 +83,11 @@ def seeded_plan(conditions, seed_digits, decimals=15):
     base_plan = build_plan(conditions, decimals)
     from irwinsums.powersums import estimate_max_power
 
-    return PrecisionPlan(
-        requested_decimals=base_plan.requested_decimals,
-        working_decimals=base_plan.working_decimals,
+    return replace(
+        base_plan,
         max_power=estimate_max_power(
             conditions.base, base_plan.working_decimals, seed_digits
         ),
-        max_digit_length=base_plan.max_digit_length,
-        direct_sum_digits=base_plan.direct_sum_digits,
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -77,21 +78,6 @@ class TestIrwinSum:
         r = irwin_sum(ConditionSet.of([9, 3], [1, 1]), 15)
         assert r.per_count_sums is None
 
-    def test_digit_cap_does_not_limit_full_sum(self, ulp):
-        c = ConditionSet.of([9], [0])
-        base_plan = build_plan(c, 15)
-        tiny_cap = PrecisionPlan(
-            requested_decimals=base_plan.requested_decimals,
-            working_decimals=base_plan.working_decimals,
-            max_power=base_plan.max_power,
-            max_digit_length=12,
-            direct_sum_digits=base_plan.direct_sum_digits,
-        )
-        r = irwin_sum(c, 15, plan=tiny_cap)
-        assert r.termination is Termination.CONVERGED
-        assert r.digits_processed == 3  # the enumerated digit lengths
-        ulp(r.requested_sum, "22.920676619264150")
-
     def test_zero_count_sums_decrease(self):
         # sums for k zeros strictly decrease for small k
         r = irwin_sum(ConditionSet.of([0], [3]), 20)
@@ -146,13 +132,7 @@ class TestIrwinSum:
         # doubling the power truncation leaves the result unchanged
         c = ConditionSet.of([9], [1])
         plan = build_plan(c, 15)
-        doubled = PrecisionPlan(
-            requested_decimals=plan.requested_decimals,
-            working_decimals=plan.working_decimals,
-            max_power=2 * plan.max_power,
-            max_digit_length=plan.max_digit_length,
-            direct_sum_digits=plan.direct_sum_digits,
-        )
+        doubled = replace(plan, max_power=2 * plan.max_power)
         assert abs(
             irwin_sum(c, 15, plan=doubled).requested_sum
             - irwin_sum(c, 15, plan=plan).requested_sum
@@ -238,7 +218,7 @@ class TestPartialSum:
         seen = []
         r = partial_sum(
             ConditionSet.of([9], [1]), 12, 15,
-            plan=PrecisionPlan(15, 23, max_power, 900, 3),
+            plan=PrecisionPlan(15, 23, max_power, 3),
             observer=lambda i, block, total, j_active: seen.append(j_active),
         )
         assert seen == [max_power] * 12
@@ -333,11 +313,36 @@ class TestThresholdSearch:
                 ConditionSet.of([9], [1]), "23", 15, threshold_decimals=996
             )
 
-    def test_walk_cap_before_crossing(self, monkeypatch):
-        # the total comes from the solve; only the walk is cut short
-        monkeypatch.setattr(summation, "default_max_digit_length", lambda *_: 10)
+    def test_walk_stops_at_first_zero_table(self, monkeypatch):
+        # a tail raised by 1.0 (10**23 at working scale 23) lifts the total
+        # above a threshold the walk never reaches; the walk ends at the first
+        # table of exact zeros, which advance gives at length 78
+        solve_tail, advance = summation.solve_tail, summation.advance
+        monkeypatch.setattr(
+            summation, "solve_tail",
+            lambda seed, c: [v + 10 ** 23 for v in solve_tail(seed, c)],
+        )
+        tables = []
+
+        def counting(table, conditions, j_active):
+            step = advance(table, conditions, j_active)
+            tables.append(step[0])
+            return step
+
+        monkeypatch.setattr(summation, "advance", counting)
         with pytest.raises(InsufficientAccuracy, match="never reached"):
-            threshold_search(ConditionSet.of([9], [1]), "23")
+            threshold_search(ConditionSet.of([1], [1], base=2), "2.5")
+        assert [t.digit_length for t in tables] == list(range(11, 79))
+        assert [any(map(any, t.rows)) for t in tables] == [True] * 67 + [False]
+
+    def test_crossing_after_thousands_of_lengths(self):
+        # the partial sums cross 5 at 3860 digits; the walk's table reads
+        # all zeros only at 5718
+        c = ConditionSet.of([0], [400])
+        r = threshold_search(c, "5", 5)
+        assert (r.digits_low, r.digits_high) == (3859, 3860)
+        assert (r.sum_low, r.sum_high) == (Decimal("4.97860"), Decimal("5.01517"))
+        assert r.sum_high == partial_sum(c, 3860, 5).requested_sum
 
     def test_finite_series_crosses_at_its_last_length(self):
         # pandigital denominators all have 10 digits: every shorter sum is 0
