@@ -217,6 +217,19 @@ class TestThresholdCommand:
         report = json.loads(out)
         assert (report["digits_low"], report["digits_high"]) == (327, 328)
 
+    def test_crossing_after_thousands_of_lengths(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "threshold", "--digits", "0", "--counts", "400", "--threshold", "5",
+            "--decimals", "5",
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "threshold 5 is first reached with 3860-digit denominators",
+            "partial sum through 3859 digits = 4.97860",
+            "partial sum through 3860 digits = 5.01517",
+        ]
+
     def test_above_total_exits_3(self, capsys):
         code, _, err = run(
             capsys, "threshold", "--digits", "9", "--counts", "0", "--threshold", "23"

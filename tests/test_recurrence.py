@@ -187,6 +187,33 @@ class TestAdvance:
             lives.append(live)
         assert lives[-1] < plan.max_power
 
+    @pytest.mark.parametrize(
+        "digits,counts,base,zero_at",
+        [([9], [0], 10, 495), ([0], [3], 10, 596), ([9, 3], [2, 1], 10, 281)],
+    )
+    def test_every_walk_decays_to_a_zero_table(self, digits, counts, base, zero_at):
+        # the threshold walk's only stop past a crossing: the top nonzero row
+        # never rises, and the table reaches exact zeros, also from a table
+        # whose power-1 row alone holds 1.0 in every cell
+        c = ConditionSet.of(digits, counts, base=base)
+        plan = build_plan(c, 15)
+        seeded = direct_sum(c, plan.direct_sum_digits, plan.max_power, plan)
+        power_one = PowerSumTable(
+            plan.direct_sum_digits,
+            [[plan.scale] * c.cell_count]
+            + [[0] * c.cell_count for _ in range(plan.max_power - 1)],
+        )
+        ends = []
+        for table, top in ((seeded, plan.max_power), (power_one, 1)):
+            while any(map(any, table.rows)) and table.digit_length < 10 * zero_at:
+                table, live = advance(table, c, plan.max_power)
+                assert live <= top
+                top = live
+            assert top == 0
+            assert not any(map(any, table.rows))
+            ends.append(table.digit_length)
+        assert ends[0] == zero_at
+
 
 def step_tables(conditions, last, powers=4):
     """Tables for digit lengths 1..last: enumerate length 1, then advance."""
