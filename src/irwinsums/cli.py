@@ -10,13 +10,16 @@ JSON report and its text lines; ``main`` alone prints and writes them.
 Exit codes: 0 success, 2 invalid input or an ``--output`` file that cannot be
 written, 3 insufficient accuracy or threshold above the total, 5 enumeration,
 table or decimals budget exceeded.  Code 4 is not produced; it stays
-unassigned so that the other codes keep their numbers.
+unassigned so that the other codes keep their numbers.  A stdout closed by
+its reader (``| head -1``) is not an error: the rest of the text is dropped
+without a message, ``--output`` is still written, and the exit code is 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from decimal import Decimal
 from typing import Optional, Sequence
@@ -364,7 +367,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         report, lines = _COMMANDS[args.command](args)
         text = json.dumps(report, indent=2)
-        print(text if args.format == "json" else "\n".join(lines))
+        try:
+            print(text if args.format == "json" else "\n".join(lines))
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone; stdout now points at os.devnull so that
+            # the flush at interpreter exit cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")

@@ -14,14 +14,19 @@ occurrence vector; each whole chunk then counts the digits of q once and adds
 that prefix to every group's vector, which decides the whole group.  Integers
 below W and the partial chunks at either end of a range are counted one by
 one.  Only the per-integer term (one division or one ``Fraction``) remains.
+
+A scaled term is div_nearest(scale, n), ties to even, with scale = 10**e.
+Each group's terms are rounded half up in one C-level ``map`` chain, which
+agrees with div_nearest except at a tie: 2*scale/n an odd integer, which
+only a divisor of 2*scale can give.  A tie pass then takes 1 off for each
+qualifying tie denominator that ties to even rounds down (see ``_ties``).
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from functools import partial
-from operator import add, le, mul
+from operator import add, floordiv, le, mul
 
 from .fixedpoint import div_nearest, fixed_to_decimal
 from .model import ConditionSet, LimitTooLarge
@@ -79,9 +84,10 @@ def _occurrence_runs(conditions: ConditionSet, start: int, stop: int):
     first = max(-(-start // width), 1)
     last = max(stop // width, first)
 
-    # a residue vector above a bound stays above it whatever the prefix
+    # a residue vector above a bound stays above it whatever the prefix;
+    # a range without a whole chunk needs no residues
     groups: dict[tuple[int, ...], list[int]] = {}
-    for r in range(width):
+    for r in range(width if last > first else 0):
         vector = occurrences(_digit_string(r, base).rjust(places, "0"))
         if all(map(le, vector, bounds)):
             groups.setdefault(vector, []).append(r)
@@ -134,15 +140,43 @@ def brute_force_fraction(conditions: ConditionSet, limit: int, mode: str = "exac
     return _tree_sum(parts)
 
 
+def _half_up_sum(scale: int, integers) -> int:
+    """Sum of scale/n rounded half up, (2*scale + n) // (2*n), over the n in
+    ``integers``: div_nearest(scale, n) for every n that is not a tie."""
+    ns = list(integers)
+    return sum(map(floordiv, map((2 * scale).__add__, ns), map(add, ns, ns)))
+
+
+def _ties(conditions: ConditionSet, start: int, stop: int, scale: int):
+    """Yield the occurrence vector of each qualifying n in [start, stop) whose
+    half-up term is one above div_nearest(scale, n).
+
+    With scale = 10**e, scale/n is a tie only at n = 2**(e+1) * 5**b for
+    0 <= b <= e; half up then gives scale // n + 1, which ties to even keep
+    when scale // n is odd.  Below the enumeration budget of 10**8 that
+    leaves a few n for decimals <= 15 (e <= 25) and none above.
+    """
+    twice = 2 * scale
+    n = twice & -twice
+    while n < stop and not twice % n:
+        if n >= start and (scale // n) % 2 == 0:
+            for vector, _ in _occurrence_runs(conditions, n, n + 1):
+                yield vector
+        n *= 5
+
+
 def _chunk_mantissa_sum(
     conditions: ConditionSet, start: int, stop: int, exact: bool, scale: int
 ) -> int:
     target = conditions.counts
-    term = partial(div_nearest, scale)
-    return sum(
-        sum(map(term, integers))
+    total = sum(
+        _half_up_sum(scale, integers)
         for vector, integers in _occurrence_runs(conditions, start, stop)
         if not exact or vector == target
+    )
+    return total - sum(
+        not exact or vector == target
+        for vector in _ties(conditions, start, stop, scale)
     )
 
 
@@ -205,10 +239,11 @@ def block_cell_sums(
 
     strides = conditions.strides
     scale = 10 ** (decimals + 10)
-    term = partial(div_nearest, scale)
     cells = [0] * conditions.cell_count
     for vector, integers in _occurrence_runs(conditions, start, stop):
-        cells[sum(map(mul, vector, strides))] += sum(map(term, integers))
+        cells[sum(map(mul, vector, strides))] += _half_up_sum(scale, integers)
+    for vector in _ties(conditions, start, stop, scale):
+        cells[sum(map(mul, vector, strides))] -= 1
     return [Fraction(v, scale) for v in cells]
 
 

@@ -64,8 +64,10 @@ def direct_sum(
 
     Each term is ``div_nearest(scale, x**j)`` without forming x**j: since
     floor(floor(a/b)/c) = floor(a/(b*c)), q_j = floor(2*scale/x**j) is
-    q_(j-1) divided once by x, and (q_j + 1) >> 1 rounds it half up, except
-    for a tie (every remainder 0 and q_j odd), which rounds to even.
+    q_(j-1) divided once by x, and (q_j + 1) >> 1 rounds it half up.  That
+    is div_nearest except at a tie, 2*scale/x**j an odd integer, which rounds
+    to even instead.  Only an x that divides 2*scale can ever divide exactly,
+    so only those pay for the remainders and the tie test.
     """
     if digit_length < 1:
         raise ValueError("digit_length must be >= 1")
@@ -103,6 +105,13 @@ def direct_sum(
             continue
 
         q = twice_scale
+        if twice_scale % x:
+            for row in rows:
+                q //= x
+                if not q:
+                    break
+                row[slot] += (q + 1) >> 1
+            continue
         exact = True
         for row in rows:
             q, r = divmod(q, x)

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -451,3 +455,26 @@ def test_cli_contract(capsys, tmp_path, argv, read, expected):
     code, out, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
     assert code == 0
     assert read(out, err, path) == expected
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_ends_quietly(tmp_path, unbuffered):
+    # the pipe's read end is closed before the child starts, so its first
+    # write to stdout fails: at the print when unbuffered, else at the flush
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    path = tmp_path / "report.json"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, irwinsums.cli as c; sys.exit(c.main())",
+             "table", "--row", "9", "--output", str(path)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(path.read_text())["rows"][0]["digit"] == 9

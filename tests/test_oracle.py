@@ -207,6 +207,49 @@ class TestChunkedCountingMatchesReference:
             assert got == [Fraction(v, scale) for v in want], digit_length
 
 
+class TestTies:
+    """Terms at a tie, where 2*scale/n is an odd integer: n = 2048, 10240 and
+    51200 at decimals 0, and 65536 and 1638400 at decimals 5.  Rounded half
+    up they come out one above div_nearest, which rounds them to even."""
+
+    CASES = [ConditionSet.of([9], [0]), ConditionSet.of([0], [1])]
+
+    @pytest.mark.parametrize("decimals", [0, 5])
+    @pytest.mark.parametrize("mode", ["exact", "at-most"])
+    @pytest.mark.parametrize("c", CASES, ids=str)
+    def test_sums_match_nearest_reference(self, monkeypatch, c, mode, decimals):
+        scale = 10 ** (decimals + 10)
+        exact = mode == "exact"
+        want = {
+            (start, stop): sum(
+                div_nearest(scale, n) for n in reference_qualifying(c, start, stop, mode)
+            )
+            for start, stop in ((1, 100_000), (2048, 2049), (1_638_000, 1_639_000))
+        }
+        for (start, stop), mantissa in want.items():
+            got = oracle._chunk_mantissa_sum(c, start, stop, exact, scale)
+            assert got == mantissa, (start, stop)
+        # the returned Decimal drops the ten spare decimals, so read the
+        # integer total that brute_force_sum quantizes
+        monkeypatch.setattr(oracle, "fixed_to_decimal", lambda total, *_: total)
+        for jobs in (1, 2):
+            got = brute_force_sum(c, 100_000, mode, decimals, jobs=jobs)
+            assert got == want[1, 100_000], jobs
+
+    @pytest.mark.parametrize("decimals", [0, 5])
+    @pytest.mark.parametrize("c", CASES, ids=str)
+    def test_block_cells_match_nearest_reference(self, c, decimals):
+        scale = 10 ** (decimals + 10)
+        for digit_length in (4, 5):
+            start, stop = 10 ** (digit_length - 1), 10 ** digit_length
+            want = [0] * c.cell_count
+            for n in reference_qualifying(c, start, stop, "at-most"):
+                # one condition: the slot is its count
+                want[reference_vector(n, c)[0]] += div_nearest(scale, n)
+            got = block_cell_sums(c, digit_length, decimals)
+            assert got == [Fraction(v, scale) for v in want], digit_length
+
+
 class TestProcessPool:
     @pytest.fixture
     def pools(self, monkeypatch):

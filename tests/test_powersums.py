@@ -17,6 +17,26 @@ def one_ulp(plan) -> Fraction:
     return Fraction(1, plan.scale)
 
 
+def nearest_rows(c: ConditionSet, plan) -> list[list[int]]:
+    """The seed block's rows term by term: div_nearest(scale, x**j), to the unit."""
+    digits, counts, base = c.digits, c.counts, c.base
+    length, powers = plan.direct_sum_digits, plan.max_power
+    want = [[0] * c.cell_count for _ in range(powers)]
+    for x in range(base ** (length - 1), base ** length):
+        found = [0] * len(digits)
+        value = x
+        while value:
+            value, digit = divmod(value, base)
+            if digit in digits:
+                found[digits.index(digit)] += 1
+        if any(k > n for k, n in zip(found, counts)):
+            continue
+        slot = occurrence_index(found, c)
+        for j in range(1, powers + 1):
+            want[j - 1][slot] += div_nearest(plan.scale, x ** j)
+    return want
+
+
 class TestDirectSum:
     def test_one_digit_no_nine(self):
         # 1/1 + ... + 1/8 = 761/280
@@ -95,24 +115,26 @@ class TestDirectSum:
         ],
     )
     def test_rows_equal_nearest_division_by_power(self, digits, counts, base, decimals):
-        # every term is div_nearest(scale, x**j), to the unit
         c = ConditionSet.of(digits, counts, base=base)
         plan = build_plan(c, decimals)
         length, powers = plan.direct_sum_digits, plan.max_power
-        want = [[0] * c.cell_count for _ in range(powers)]
-        for x in range(base ** (length - 1), base ** length):
-            found = [0] * len(digits)
-            value = x
-            while value:
-                value, digit = divmod(value, base)
-                if digit in digits:
-                    found[digits.index(digit)] += 1
-            if any(k > n for k, n in zip(found, counts)):
-                continue
-            slot = occurrence_index(found, c)
-            for j in range(1, powers + 1):
-                want[j - 1][slot] += div_nearest(plan.scale, x ** j)
-        assert direct_sum(c, length, powers, plan).rows == want
+        assert direct_sum(c, length, powers, plan).rows == nearest_rows(c, plan)
+
+    @pytest.mark.parametrize(
+        "digits, counts, decimals, x, j, odd",
+        [
+            ([9], [0], 16, 160, 5, 5 ** 19),
+            ([0], [11], 15, 128, 4, 5 ** 27),
+        ],
+    )
+    def test_ties_at_bench_precision(self, digits, counts, decimals, x, j, odd):
+        # 2 * scale / x**j is odd, so div_nearest rounds scale / x**j to even
+        c = ConditionSet.of(digits, counts)
+        plan = build_plan(c, decimals)
+        assert 2 * plan.scale == odd * x ** j
+        assert plan.direct_sum_digits == len(str(x)) and plan.max_power >= j
+        rows = direct_sum(c, plan.direct_sum_digits, plan.max_power, plan).rows
+        assert rows == nearest_rows(c, plan)
 
     def test_exact_tie_rounds_to_even(self):
         # base-2 [1]x[1] at length 10 holds only x = 512; at power 34,
