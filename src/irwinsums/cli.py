@@ -13,6 +13,7 @@ table or decimals budget exceeded.  Code 4 is not produced; it stays
 unassigned so that the other codes keep their numbers.  A stdout closed by
 its reader (``| head -1``) is not an error: the rest of the text is dropped
 without a message, ``--output`` is still written, and the exit code is 0.
+A closed stderr drops the rest of the diagnostics; stdout and the exit code stand.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 import os
 import sys
 from decimal import Decimal
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 from . import oracle as oracle_mod
 from .fixedpoint import fixed_to_decimal, format_grouped, format_plain
@@ -162,37 +163,43 @@ def _value_str(value: Decimal, fmt: str) -> str:
     return format_grouped(value) if fmt == "grouped" else format_plain(value)
 
 
-def _make_observer(args: argparse.Namespace, plan):
-    if args.verbose < 3:
-        return None
-
-    def observer(digit_length: int, block: int, total: int, j_active: int) -> None:
-        show = min(10, plan.requested_decimals)
-        block_s = format_plain(fixed_to_decimal(block, plan.working_decimals, show))
-        total_s = format_plain(fixed_to_decimal(total, plan.working_decimals, show))
-        line = f"partial sum for {digit_length} digits = {block_s}, total = {total_s}"
-        if args.verbose >= 4:
-            line += f", active powers = {j_active}"
-        print(line, file=sys.stderr)
-
-    return observer
+def _print(stream: TextIO, text: str) -> None:
+    """Print to stdout or stderr.  Once the stream's reader has gone, it points
+    at os.devnull: the rest is dropped and no later flush fails."""
+    try:
+        print(text, file=stream)
+        stream.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 def _run_engine(args: argparse.Namespace, digit_limit: Optional[int] = None) -> SumResult:
     conditions = _conditions(args)
     plan = build_plan(conditions, args.decimals)
     if args.verbose >= 2:
-        print(
+        _print(
+            sys.stderr,
             f"decimals = {plan.requested_decimals}, working = {plan.working_decimals}, "
-            f"max power = {plan.max_power}, direct digits = {plan.direct_sum_digits}",
-            file=sys.stderr,
+            f"max power = {plan.max_power}, direct digits = {plan.direct_sum_digits}"
         )
-    observer = _make_observer(args, plan)
     if digit_limit is None:
-        return irwin_sum(conditions, args.decimals, plan=plan, observer=observer)
-    return partial_sum(
-        conditions, digit_limit, args.decimals, plan=plan, observer=observer
-    )
+        result = irwin_sum(conditions, args.decimals, plan=plan)
+    else:
+        result = partial_sum(conditions, digit_limit, args.decimals, plan=plan)
+    if args.verbose >= 3:
+        # lengths past the walk's end repeat its last level with a zero block
+        show, working = min(10, plan.requested_decimals), plan.working_decimals
+        levels, previous = result.levels, 0
+        for length in range(1, result.digits_processed + 1):
+            total, active = levels[min(length, len(levels)) - 1]
+            block_s = format_plain(fixed_to_decimal(total - previous, working, show))
+            total_s = format_plain(fixed_to_decimal(total, working, show))
+            line = f"partial sum for {length} digits = {block_s}, total = {total_s}"
+            if args.verbose >= 4:
+                line += f", active powers = {active}"
+            _print(sys.stderr, line)
+            previous = total
+    return result
 
 
 def _sum_report(result: SumResult, mode: str, headline: Decimal) -> dict:
@@ -236,10 +243,10 @@ def _cmd_sum(args: argparse.Namespace) -> tuple[dict, list[str]]:
             vector = occurrence_vector(slot, conditions)
             lines.append(f"sum for occurrences {vector} = {_value_str(value, fmt)}")
     if result.termination is Termination.FINITE_SERIES_EXHAUSTED and fmt != "json":
-        print(
+        _print(
+            sys.stderr,
             f"this is a finite series that terminates after "
-            f"{result.digits_processed} digits",
-            file=sys.stderr,
+            f"{result.digits_processed} digits"
         )
     return report, lines
 
@@ -367,18 +374,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         report, lines = _COMMANDS[args.command](args)
         text = json.dumps(report, indent=2)
-        try:
-            print(text if args.format == "json" else "\n".join(lines))
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader has gone; stdout now points at os.devnull so that
-            # the flush at interpreter exit cannot fail again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _print(sys.stdout, text if args.format == "json" else "\n".join(lines))
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
     except tuple(kind for kind, _ in _EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print(sys.stderr, f"error: {exc}")
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
     return EXIT_OK
 

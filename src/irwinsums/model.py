@@ -9,6 +9,7 @@ is normative for every table in this package.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterable, Sequence
@@ -91,8 +92,9 @@ class ConditionSet:
             raise BaseOutOfRange(
                 f"base {self.base} must be in the range {MIN_BASE} through {MAX_BASE}"
             )
+        index = operator.index  # refuses a float instead of truncating it
         object.__setattr__(
-            self, "conditions", tuple((int(d), int(n)) for d, n in self.conditions)
+            self, "conditions", tuple((index(d), index(n)) for d, n in self.conditions)
         )
         m = len(self.conditions)
         if m < 1:
@@ -246,7 +248,7 @@ class PrecisionPlan:
 
 def clamp_decimals(requested_decimals: int) -> int:
     """Raise small requests to the minimum; refuse those above the cap."""
-    decimals = int(requested_decimals)
+    decimals = operator.index(requested_decimals)
     if decimals > MAX_REQUESTED_DECIMALS:
         raise RangeTooLarge(
             f"{decimals} decimals exceed the cap of {MAX_REQUESTED_DECIMALS}"

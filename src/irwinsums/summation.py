@@ -3,22 +3,24 @@
 Every run consumes one walk over digit lengths, ``_walk``: blocks short
 enough to enumerate are summed directly, the last of them is the seed of the
 power-sum recurrence, and the recurrence carries the tables on from there.
-The walk also carries the running sums, per cell, of every block so far.
-Its callers only choose where to stop: a partial sum at its digit limit, a
+The walk also carries the running sums, per cell, of every block so far,
+and ends at its first all-zero table after the seed.  Its callers only
+choose where to stop before that: a partial sum at its digit limit, a
 threshold search at the crossing, a finite series at its longest
 denominator, and a full sum of an infinite series at the seed, followed by
 one back-substitution that solves for every block from the seed on.  Every
-run ends in one quantization, in ``_compute``.
+run ends in ``_compute``: one quantization and one record of its levels.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain, compress, count, islice, takewhile
-from typing import Callable, Iterator, Optional, Union
+from itertools import chain, compress, count, islice
+from typing import Iterator, Optional, Union
 
 from .fixedpoint import fixed_to_decimal, parse_exact_decimal
 from .model import (
@@ -52,6 +54,9 @@ class SumResult:
     condition, ``per_count_sums[k]`` is the sum for exactly k occurrences.
     ``per_cell_sums`` carries the exact-count sum of every occurrence vector
     in mixed-radix slot order, whatever the number of conditions.
+    ``levels[i - 1]`` is ``(total, active_powers)`` for digit length i, the
+    requested cell's running sum as a mantissa at the plan's working scale.
+    Lengths after the walk's end, up to ``digits_processed``, repeat the last.
     """
 
     conditions: ConditionSet
@@ -62,6 +67,7 @@ class SumResult:
     per_cell_sums: tuple[Decimal, ...]
     digits_processed: int
     termination: Termination
+    levels: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -79,10 +85,6 @@ class ThresholdResult:
 
 # Upper bound on cell_count * max_power, the size of one power-sum table.
 TABLE_CELL_LIMIT = 4 * 10 ** 6
-
-BlockObserver = Callable[[int, int, int, int], None]
-"""Called per digit length with (digit_length, block, total, j_active);
-block and total are fixed-point mantissas at the plan's working scale."""
 
 
 def build_plan(conditions: ConditionSet, requested_decimals: int) -> PrecisionPlan:
@@ -116,13 +118,20 @@ def _walk(
     ``sums`` is one list, updated in place: per cell, the sum of every block
     through ``digit_length``.  Only a block's nonzero cells are added; a
     finite series' block at length i is nonzero only where |k| = i, and the
-    series stops at its longest denominator.  Callers stop infinite walks:
-    at a digit length, or at the first table that reads all exact zeros.
+    series stops at its longest denominator.  After the seed, the walk ends
+    at its first all-zero table, which steps only to all-zero tables, so no
+    later length moves a sum or ``j_active``.  Every walk decays to one: the
+    top nonzero row steps with divisor ``base**top`` and no higher terms,
+    reading each cell with total weight at most ``base``, so from power 2 up
+    its sum of magnitudes falls ``base``-fold a length; with power 1 alone a
+    cell steps to ``trunc(((base - m) * v + lower neighbours) / base)``,
+    m >= 1 constrained digits, so by induction over slot order every cell
+    gets to 0.
     """
     finite = conditions.is_finite_series()
     lengths = range(1, conditions.finite_digit_limit() + 1) if finite else count(1)
     seed_digit = plan.direct_sum_digits
-    j_active = plan.max_power
+    j_active = live = plan.max_power
     sums = [0] * conditions.cell_count
     for i in lengths:
         if i <= seed_digit:
@@ -136,6 +145,8 @@ def _walk(
         for slot in compress(range(len(block)), block):
             sums[slot] += block[slot]
         yield i, table, j_active, sums
+        if not live:
+            return
 
 
 def _compute(
@@ -144,7 +155,6 @@ def _compute(
     *,
     digit_limit: Optional[int] = None,
     plan: Optional[PrecisionPlan] = None,
-    observer: Optional[BlockObserver] = None,
     walk: Optional[Iterator[tuple[int, PowerSumTable, int, list[int]]]] = None,
 ) -> SumResult:
     """Run the engine; see the public wrappers for the result contracts.  A
@@ -168,11 +178,12 @@ def _compute(
     else:
         # Infinite series enumerate up to the seed and solve for the rest.
         last, termination = plan.direct_sum_digits, Termination.CONVERGED
+    if conditions.is_finite_series():
+        last = min(last, conditions.finite_digit_limit())
 
-    length, sums = 0, [0] * conditions.cell_count
-    for length, table, j_active, sums in islice(walk or _walk(conditions, plan), last):
-        if observer is not None:
-            observer(length, table.rows[0][-1], sums[-1], j_active)
+    levels, sums = [], [0] * conditions.cell_count
+    for _, table, j_active, sums in islice(walk or _walk(conditions, plan), last):
+        levels.append((sums[-1], j_active))
 
     if termination is Termination.CONVERGED:
         # The solved sums include the seed block, which sums already holds.
@@ -188,8 +199,9 @@ def _compute(
         at_most_sum=fixed_to_decimal(sum(sums), working, decimals),
         per_count_sums=per_cell if conditions.num_conditions == 1 else None,
         per_cell_sums=per_cell,
-        digits_processed=length,
+        digits_processed=last,
         termination=termination,
+        levels=tuple(levels),
     )
 
 
@@ -198,11 +210,10 @@ def irwin_sum(
     requested_decimals: int = 15,
     *,
     plan: Optional[PrecisionPlan] = None,
-    observer: Optional[BlockObserver] = None,
 ) -> SumResult:
     """Sum 1/n over integers whose constrained digits each occur exactly
     their prescribed number of times, to ``requested_decimals`` places."""
-    return _compute(conditions, requested_decimals, plan=plan, observer=observer)
+    return _compute(conditions, requested_decimals, plan=plan)
 
 
 def at_most_sum(conditions: ConditionSet, requested_decimals: int = 15) -> Decimal:
@@ -217,15 +228,12 @@ def partial_sum(
     requested_decimals: int = 15,
     *,
     plan: Optional[PrecisionPlan] = None,
-    observer: Optional[BlockObserver] = None,
 ) -> SumResult:
     """Sum restricted to denominators below base**digit_limit."""
+    digit_limit = operator.index(digit_limit)
     if digit_limit < 1:
         raise ValueError("digit_limit must be >= 1")
-    return _compute(
-        conditions, requested_decimals, digit_limit=digit_limit, plan=plan,
-        observer=observer,
-    )
+    return _compute(conditions, requested_decimals, digit_limit=digit_limit, plan=plan)
 
 
 def threshold_search(
@@ -244,14 +252,6 @@ def threshold_search(
     (or ``threshold_decimals`` when given) states how many decimals are meant:
     if the series total agrees with the threshold through all of them, the
     bracket is not determined and :class:`InsufficientAccuracy` is raised.
-
-    The walk ends at the crossing or at its first all-zero table, which
-    steps only to all-zero tables.  Every walk decays to one: the top nonzero
-    row steps with divisor ``base**top`` and no higher terms, reading each
-    cell with total weight at most ``base``, so from power 2 up its sum of
-    magnitudes falls ``base``-fold a length; with power 1 alone a cell steps
-    to ``trunc(((base - m) * v + lower neighbours) / base)``, m >= 1
-    constrained digits, so by induction over slot order every cell gets to 0.
     """
     if isinstance(threshold, float):
         raise TypeError(
@@ -262,25 +262,22 @@ def threshold_search(
     value, textual_decimals = parse_exact_decimal(text)
     if value <= 0:
         raise ValueError("threshold must be positive")
-    if threshold_decimals is not None and threshold_decimals < 0:
-        raise ValueError("threshold_decimals must be >= 0")
     known_decimals = (
-        threshold_decimals if threshold_decimals is not None else textual_decimals
+        textual_decimals if threshold_decimals is None
+        else operator.index(threshold_decimals)
     )
+    if known_decimals is not None and known_decimals < 0:
+        raise ValueError("threshold_decimals must be >= 0")
 
     decimals = clamp_decimals(requested_decimals)
     if known_decimals is not None:
         decimals = max(decimals, known_decimals + 5)
     plan = build_plan(conditions, decimals)
 
-    # One walk gives the total and goes on to the crossing.  sums[i - 1]: the
-    # requested cell's sum through length i.
+    # One walk gives the total and goes on to the crossing.
     walk = _walk(conditions, plan)
-    sums: list[int] = []
-    total = Fraction(_compute(
-        conditions, decimals, plan=plan, walk=walk,
-        observer=lambda length, block, total, j_active: sums.append(total),
-    ).requested_sum)
+    result = _compute(conditions, decimals, plan=plan, walk=walk)
+    total = Fraction(result.requested_sum)
     if value > total:
         raise ThresholdAboveTotal(
             f"threshold {threshold} exceeds the series total {float(total):.6g}"
@@ -294,14 +291,13 @@ def threshold_search(
             "precision given; supply more threshold digits"
         )
 
-    # The walk goes on from the length after the last kept sum to its first
-    # all-zero table.  A partial_sum run to either length gives these totals
+    # The walk goes on from the length after the last level to the crossing or
+    # to its end.  A partial_sum run to any of these lengths gives their totals
     # bit for bit: the seed's power-1 row and dropped powers ignore the limit.
-    live = takewhile(lambda step: any(map(any, step[1].rows)), walk)
-    later = (s[-1] for *_, s in live)
+    later = ((s[-1], j_active) for _, _, j_active, s in walk)
     working = plan.working_decimals
     sum_high = fixed_to_decimal(0, working, decimals)
-    for digits_high, running in enumerate(chain(sums, later), 1):
+    for digits_high, (running, _) in enumerate(chain(result.levels, later), 1):
         sum_low, sum_high = sum_high, fixed_to_decimal(running, working, decimals)
         if sum_high >= value:
             break

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -142,6 +143,21 @@ class TestSumCommand:
         assert "partial sum for 3 digits" in err
         assert "partial sum for 4 digits" not in err
         assert "sum = 22.920676619264150" in out
+
+    def test_progress_past_the_walks_end(self, capsys):
+        # the walk ends at length 91; lengths 92..101 repeat its last level
+        code, out, err = run(
+            capsys, "sum", "--digits", "0,1", "--counts", "100,1", "--base", "2",
+            "-v", "4",
+        )
+        assert code == 0
+        assert err.splitlines()[101] == (
+            "partial sum for 101 digits = 0.0000000000, total = 0.0000000000, "
+            "active powers = 2"
+        )
+        assert hashlib.sha256((err + out).encode()).hexdigest() == (
+            "6545cd1f3fb8c45ac66dc8aaed171020651db2708459a8b328258c873a3bf562"
+        )
 
     def test_per_cell_lines_for_multiple_conditions(self, capsys):
         code, out, _ = run(
@@ -478,3 +494,29 @@ def test_closed_stdout_ends_quietly(tmp_path, unbuffered):
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(path.read_text())["rows"][0]["digit"] == 9
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (["partial", "--digits", "0", "--counts", "100", "--power", "853", "-v", "3"],
+         0, "partial sum through 853 digits = 1.016695244353383\n"),
+        (["partial", "--digits", "9", "--counts", "0", "--power", "0"], 2, ""),
+    ],
+    ids=["result", "error"],
+)
+def test_closed_stderr_keeps_the_result(argv, code, out):
+    # with stderr's read end closed, the first diagnostic line fails; the
+    # rest of stderr is dropped and stdout and the exit code stand
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, irwinsums.cli as c; sys.exit(c.main())",
+             *argv],
+            stdout=subprocess.PIPE, stderr=write_end, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stdout) == (code, out)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -66,6 +67,14 @@ class TestValidation:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             ConditionSet.of([9, 3], [1])
+
+    def test_non_integral_digits_and_counts_are_refused(self):
+        # int() would truncate 9.7 to 9 and 1.9 to 1 without a word
+        for digits, counts in (([9.7], [1]), ([9], [1.9]), ([Fraction(9)], [1])):
+            with pytest.raises(TypeError):
+                ConditionSet.of(digits, counts)
+        assert ConditionSet.of([True], [False]) == ConditionSet.of([1], [0])
+        assert ConditionSet.of([True], [False]).conditions == ((1, 0),)
 
 
 class TestClassification:
@@ -163,6 +172,11 @@ class TestPrecisionPlan:
         assert clamp_decimals(MAX_REQUESTED_DECIMALS) == MAX_REQUESTED_DECIMALS == 1000
         with pytest.raises(RangeTooLarge, match="cap of 1000"):
             clamp_decimals(1001)
+
+    def test_non_integral_decimals_are_refused(self):
+        with pytest.raises(TypeError):
+            clamp_decimals(15.9)
+        assert clamp_decimals(True) == 5
 
     def test_seed_length_floor(self):
         with pytest.raises(ValueError, match="direct_sum_digits"):

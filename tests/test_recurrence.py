@@ -393,6 +393,7 @@ class TestShrinkActivePowers:
             (list(range(10)), [1] * 10, 10, 10),
             ([2], [0], 3, 80),
             (list(range(1, 10)), [1] * 9, 10, 20),
+            ([9], [0], 10, 500),  # past the walk's end, its all-zero table at 495
         ],
     )
     def test_dropping_zero_rows_is_exact(self, digits, counts, base, digit_limit):
@@ -400,21 +401,20 @@ class TestShrinkActivePowers:
         # walk's totals equal, as integers, those of one that never drops
         c = ConditionSet.of(digits, counts, base=base)
         plan = build_plan(c, 15)
-        seen = []
-        partial_sum(
-            c, digit_limit, 15, plan=plan,
-            observer=lambda i, block, total, j_active: seen.append((i, total, j_active)),
+        levels = partial_sum(c, digit_limit, 15, plan=plan).levels
+        want = walk_totals(c, digit_limit, plan)
+        walked = len(levels)
+        assert [(i, total) for i, (total, _) in enumerate(levels, 1)] == want[:walked]
+        # no total moves after the walk's end
+        assert [total for _, total in want[walked:]] == [levels[-1][0]] * (
+            digit_limit - walked
         )
-        assert [(i, total) for i, total, _ in seen] == walk_totals(c, digit_limit, plan)
-        assert 2 <= min(j for _, _, j in seen) < plan.max_power
+        assert 2 <= min(j for _, j in levels) < plan.max_power
 
     def test_monotone_over_run(self):
         # active powers never grow over successive digit lengths
         c = ConditionSet.of([9], [0])
-        history = []
-        partial_sum(
-            c, 43, 15,
-            observer=lambda i, block, total, j_active: history.append(j_active),
-        )
+        history = [j_active for _, j_active in partial_sum(c, 43, 15).levels]
+        assert len(history) == 43
         assert history == sorted(history, reverse=True)
         assert history[-1] < build_plan(c, 15).max_power  # it does shrink eventually

@@ -161,6 +161,30 @@ class TestIrwinSum:
             irwin_sum(c, 1001)
         assert build_plan(c, 1000).requested_decimals == 1000
 
+    def test_non_integral_arguments_are_refused(self):
+        # int() would run 15.9 decimals as 15; islice would refuse 2.5 digits
+        # with a message about its own stop argument
+        c = ConditionSet.of([9], [0])
+        with pytest.raises(TypeError):
+            irwin_sum(c, 15.9)
+        with pytest.raises(TypeError):
+            partial_sum(c, 2.5)
+        with pytest.raises(TypeError):
+            threshold_search(c, "22", 15, threshold_decimals=2.5)
+        assert partial_sum(c, True) == partial_sum(c, 1)
+        assert partial_sum(c, True).digits_processed == 1
+        assert threshold_search(c, "22", 15, threshold_decimals=True) == (
+            threshold_search(c, "22", 15, threshold_decimals=1)
+        )
+
+    def test_finite_series_walk_ends_before_its_longest_denominator(self):
+        # 101-digit denominators are below 2**-100 and round to 0 long before:
+        # the walk reads an all-zero table at length 91
+        r = irwin_sum(ConditionSet.of([0, 1], [100, 1], base=2), 15)
+        assert len(r.levels) == 91
+        assert r.digits_processed == 101
+        assert r.termination is Termination.FINITE_SERIES_EXHAUSTED
+
 
 class TestAtMost:
     def test_distinct_digit_aggregate(self, ulp):
@@ -215,14 +239,37 @@ class TestPartialSum:
     def test_hand_made_power_count_is_kept(self, max_power, want):
         # the walk drops powers only while more than 2 are active, so a plan
         # with 1 or 2 powers keeps them at every length
-        seen = []
         r = partial_sum(
-            ConditionSet.of([9], [1]), 12, 15,
-            plan=PrecisionPlan(15, 23, max_power, 3),
-            observer=lambda i, block, total, j_active: seen.append(j_active),
+            ConditionSet.of([9], [1]), 12, 15, plan=PrecisionPlan(15, 23, max_power, 3)
         )
-        assert seen == [max_power] * 12
+        assert [j_active for _, j_active in r.levels] == [max_power] * 12
         assert r.requested_sum == Decimal(want)
+
+
+    def test_walk_ends_at_its_first_all_zero_table(self, monkeypatch):
+        # no-9 at 15 decimals: the seed is length 3 and the table at length
+        # 495 reads all zeros, so advance steps lengths 4..495, not 4..1000
+        advance, lengths = summation.advance, []
+
+        def counting(table, conditions, j_active):
+            lengths.append(table.digit_length + 1)
+            return advance(table, conditions, j_active)
+
+        monkeypatch.setattr(summation, "advance", counting)
+        r = partial_sum(ConditionSet.of([9], [0]), 1000, 15)
+        assert lengths == list(range(4, 496))
+        assert r.requested_sum == Decimal("22.920676619264150")
+        assert r.digits_processed == 1000
+        assert len(r.levels) == 495
+        assert r.levels[-1][1] == 2
+
+    def test_record_is_bounded_by_the_walks_end(self):
+        # one occurrence of every nonzero digit: nothing moves after length 37,
+        # so a limit of 10**5 lengths records 37 levels
+        r = partial_sum(ConditionSet.of(range(1, 10), [1] * 9), 10 ** 5, 15)
+        assert len(r.levels) == 37
+        assert r.digits_processed == 10 ** 5
+        assert r.requested_sum == Decimal("0.002362347838619")
 
 
 class TestThresholdSearch:
