@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 
@@ -81,7 +81,9 @@ class ConditionSet:
     """An ordered list of (digit, occurrence count) constraints in one base.
 
     Constructing a ConditionSet validates it; an invalid combination raises
-    the matching :class:`ValidationError` subclass.
+    the matching :class:`ValidationError` subclass.  The derived values
+    (``digits``, ``counts``, ``strides``, ...) are computed once per instance;
+    like the fields, they cannot be assigned.
     """
 
     base: int
@@ -126,24 +128,24 @@ class ConditionSet:
             )
         return cls(base, tuple(zip(digits, counts)))
 
-    @property
+    @cached_property
     def digits(self) -> tuple[int, ...]:
         return tuple(d for d, _ in self.conditions)
 
-    @property
+    @cached_property
     def counts(self) -> tuple[int, ...]:
         return tuple(n for _, n in self.conditions)
 
-    @property
+    @cached_property
     def num_conditions(self) -> int:
         return len(self.conditions)
 
-    @property
+    @cached_property
     def cell_count(self) -> int:
         """Number of occurrence vectors: the product of (count + 1)."""
         return reduce(lambda acc, c: acc * (c[1] + 1), self.conditions, 1)
 
-    @property
+    @cached_property
     def strides(self) -> tuple[int, ...]:
         """Mixed-radix place value of each condition in the flat slot index."""
         strides = []

@@ -21,14 +21,19 @@ by back-substitution instead of walking the lengths one by one.
 
 One row kernel, ``_fill_row``, computes every cell of both: ``advance`` fills
 the next length's rows from the previous ones, and ``solve_tail`` fills the
-unknown rows from the seed and the rows it has already solved.  Both skip
+unknown rows from the seed and the rows it has already solved.  The one
+exception is a step of an infinite series whose rows above power 1 are 0,
+as in most of a long partial walk: its only term is n = 0, a two-term
+stencil (the cell times base - m, plus its neighbours, over base) that
+``_power1_step`` applies to the whole row at once.  The kernel skips
 terms that read only exact zeros: the solve evaluates a cell's terms only up
 to its height, the top power solved so far where the cell or a neighbour is
 nonzero, and a step's coefficients and divisor belong to its input's top
 nonzero power (a higher power would scale numerators and divisor alike).
 
-A step fills only the cells its length can reach: an i-digit integer has at
-most i constrained digits, and exactly i when every digit is constrained.
+A kernel step fills only the cells its length can reach: an i-digit integer
+has at most i constrained digits, and exactly i when every digit is
+constrained.  The stencil computes the others too, as 0.
 
 The neighbour with count c decremented lies ``stride_c`` below a cell, so the
 slot layout keeps one ``(c, stride_c)`` pattern per support set, at most 2**m,
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import repeat
+from operator import add, mul
 from typing import Callable, Iterable, Iterator
 
 from .fixedpoint import div_nearest, div_toward_zero
@@ -142,6 +148,28 @@ def _fill_row(
         row[slot] = rounding(s, divisor)
 
 
+def _power1_step(row: list[int], conditions: ConditionSet) -> list[int]:
+    """The next power-1 row of an infinite series from a table whose rows
+    above power 1 are 0: ``trunc((u * v[x] + sum_c v[x - stride_c]) / base)``
+    for every cell x, with u = base - m and c over the conditions with
+    k_c(x) > 0.
+
+    Each condition adds one shifted copy of ``row``: in every period of
+    ``stride * (count + 1)`` slots, those with k_c > 0 read the slot
+    ``stride`` below, and the first ``stride`` read 0.
+    """
+    base, cells = conditions.base, len(row)
+    numerators = map(mul, row, repeat(base - conditions.num_conditions))
+    for n, stride in zip(conditions.counts, conditions.strides):
+        if n:
+            period = stride * (n + 1)
+            below = [0] * cells
+            for low in range(0, cells, period):
+                below[low + stride : low + period] = row[low : low + period - stride]
+            numerators = map(add, numerators, below)
+    return [s // base if s >= 0 else -(-s // base) for s in numerators]
+
+
 def _top(rows: list[list[int]], j: int) -> int:
     """The highest power up to j whose row is not all 0, or 0 when none is."""
     return next((p for p in range(j, 0, -1) if any(rows[p - 1])), 0)
@@ -162,17 +190,30 @@ def advance(
     top nonzero power ``top``, and rows above it stay 0.  Sizing the step by
     ``j_active`` would scale every numerator and the divisor by
     ``base**(j_active - top)``, which changes no quotient.
+
+    At top 1 an infinite series steps by ``_power1_step``, over the whole
+    row: the expansion then has only its n = 0 term, with coefficient
+    u = base - m on the cell itself and d**0 = 1 on each neighbour, over the
+    divisor ``base``, and a cell past |k| = i + 1 reads only zeros, so every
+    integer equals the kernel's.  A finite series keeps the kernel: its
+    tables are nonzero only on the layer |k| = i, which a whole-row pass
+    would not skip.
     """
     if len(table.rows) < j_active:
         raise ValueError(
             f"table holds {len(table.rows)} powers, {j_active} required"
         )
-    neighbors, weights = _slot_layout(conditions)
     length = table.digit_length + 1
-    low = length if conditions.is_finite_series() else 0
-    targets = [slot for slot, w in enumerate(weights) if low <= w <= length]
-
+    finite = conditions.is_finite_series()
     top = _top(table.rows, j_active)
+    if top == 1 and not finite:
+        row = _power1_step(table.rows[0], conditions)
+        rest = [[0] * len(row) for _ in range(j_active - 1)]
+        return PowerSumTable(length, [row, *rest]), 1 if any(row) else 0
+
+    neighbors, weights = _slot_layout(conditions)
+    low = length if finite else 0
+    targets = [slot for slot, w in enumerate(weights) if low <= w <= length]
     new_rows = [[0] * len(weights) for _ in range(j_active)]
     for j, coeffs in expansion_terms(conditions, top):
         row = new_rows[j - 1]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import operator
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -181,8 +182,10 @@ def _compute(
     if conditions.is_finite_series():
         last = min(last, conditions.finite_digit_limit())
 
+    # islice refuses a stop above sys.maxsize; every walk ends long before.
     levels, sums = [], [0] * conditions.cell_count
-    for _, table, j_active, sums in islice(walk or _walk(conditions, plan), last):
+    walked = islice(walk or _walk(conditions, plan), min(last, sys.maxsize))
+    for _, table, j_active, sums in walked:
         levels.append((sums[-1], j_active))
 
     if termination is Termination.CONVERGED:

@@ -205,6 +205,13 @@ class TestPartialCommand:
         )
         assert code == 2
 
+    def test_power_above_maxsize(self, capsys):
+        code, out, err = run(
+            capsys, "partial", "--digits", "9", "--counts", "0",
+            "--power", "100000000000000000000", "-v", "0",
+        )
+        assert (code, out.strip(), err) == (0, "22.920676619264150", "")
+
 
 class TestThresholdCommand:
     def test_bracket_report(self, capsys):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -145,6 +147,24 @@ class TestOccurrenceIndex:
             occurrence_vector(6, c)
         with pytest.raises(OutOfBounds):
             occurrence_vector(-1, c)
+
+    def test_derived_values_are_cached_and_read_only(self):
+        # computed once into the instance dict; equality, hashing and
+        # pickling (the oracle's process pool) still see the fields alone
+        c = ConditionSet.of([1, 2, 3], [3, 2, 1])
+        derived = (c.digits, c.counts, c.num_conditions, c.cell_count, c.strides)
+        assert derived == ((1, 2, 3), (3, 2, 1), 3, 24, (1, 4, 12))
+        assert c.strides is c.strides
+        fresh = ConditionSet.of([1, 2, 3], [3, 2, 1])
+        assert c == fresh and hash(c) == hash(fresh)
+        copy = pickle.loads(pickle.dumps(c))
+        assert copy == c and hash(copy) == hash(c)
+        assert (copy.digits, copy.counts, copy.num_conditions, copy.cell_count,
+                copy.strides) == derived
+        for name in ("digits", "counts", "num_conditions", "cell_count", "strides"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(c, name, None)
+        assert c.counts == (3, 2, 1)
 
 
 class TestPrecisionPlan:

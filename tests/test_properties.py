@@ -1,4 +1,5 @@
-"""Property-based checks for the model, coefficients, and formatting."""
+"""Property-based checks for the model, coefficients, the power-1 step, and
+formatting."""
 
 from __future__ import annotations
 
@@ -18,8 +19,10 @@ from irwinsums.fixedpoint import (
     parse_exact_decimal,
 )
 from irwinsums.model import ConditionSet, occurrence_index, occurrence_vector
-from irwinsums.powersums import digit_power_sum
+from irwinsums.powersums import PowerSumTable, digit_power_sum
+from irwinsums.recurrence import advance
 from conftest import expansion_coefficient
+from test_recurrence import full_term_step
 
 
 @st.composite
@@ -42,6 +45,30 @@ def condition_sets(draw, max_cells=10 ** 4):
         counts.append(count)
         cells *= count + 1
     return ConditionSet.of(digits, counts, base=base)
+
+
+@given(
+    condition_sets(max_cells=3000).filter(lambda c: not c.is_finite_series()),
+    st.integers(min_value=0, max_value=15),
+    st.integers(min_value=1, max_value=4),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=150, deadline=None)
+def test_power1_step_equals_full_term_step(conditions, digit_length, j_active, rng):
+    # a table of an infinite series whose rows above power 1 are 0, with
+    # values of either sign on the cells a digit length can reach
+    cells = conditions.cell_count
+    row = [
+        rng.randint(-10 ** 30, 10 ** 30)
+        if sum(occurrence_vector(slot, conditions)) <= digit_length else 0
+        for slot in range(cells)
+    ]
+    table = PowerSumTable(digit_length, [row] + [[0] * cells] * (j_active - 1))
+    got, live = advance(table, conditions, j_active)
+    want, want_live = full_term_step(table, conditions, j_active)
+    assert got.rows == want.rows
+    assert live == want_live
+    assert got.digit_length == digit_length + 1
 
 
 @given(condition_sets())

@@ -343,7 +343,15 @@ class TestSkippedTermsAreExactZeros:
 
     @pytest.mark.parametrize(
         "digits,counts,base",
-        [([9], [1], 10), ([9, 3], [2, 1], 10), ([0], [100], 10), ([1], [1], 2)],
+        [
+            ([9], [1], 10),
+            ([9, 3], [2, 1], 10),
+            ([0], [100], 10),
+            ([1], [1], 2),
+            ([9, 0], [0, 2], 10),  # a count-0 digit beside a counted one
+            ([9, 0, 5], [2, 1, 3], 10),
+            ([0, 2], [2, 3], 3),
+        ],
     )
     def test_step_equals_full_term_step(self, digits, counts, base):
         # a table whose rows above `top` are 0: the step skips those rows and
@@ -362,6 +370,30 @@ class TestSkippedTermsAreExactZeros:
                 assert table.rows == want.rows
                 assert live == want_live <= top
                 assert table.digit_length == want.digit_length
+
+    @pytest.mark.parametrize(
+        "digits,counts,base,kernel",
+        [([9, 0], [3, 1], 10, False), ([0], [2], 3, False), ([0, 1], [2, 1], 2, True)],
+    )
+    def test_power1_tables_of_infinite_series_skip_the_kernel(
+        self, digits, counts, base, kernel, monkeypatch
+    ):
+        # rows above power 1 are 0: an infinite series steps by the whole-row
+        # stencil alone, a finite one by the kernel
+        c = ConditionSet.of(digits, counts, base=base)
+        plan = build_plan(c, 15)
+        seeded = direct_sum(c, 2, plan.max_power, plan)
+        zero = [0] * c.cell_count
+        table = PowerSumTable(2, seeded.rows[:1] + [zero] * (plan.max_power - 1))
+        want, want_live = full_term_step(table, c, plan.max_power)
+        calls = []
+        fill_row = recurrence._fill_row
+        monkeypatch.setattr(
+            recurrence, "_fill_row", lambda *a: calls.append(1) or fill_row(*a)
+        )
+        got, live = advance(table, c, plan.max_power)
+        assert (got.rows, got.digit_length, live) == (want.rows, 3, want_live)
+        assert bool(calls) == kernel
 
 
 def walk_totals(conditions, digit_limit, plan):
@@ -394,6 +426,7 @@ class TestShrinkActivePowers:
             ([2], [0], 3, 80),
             (list(range(1, 10)), [1] * 9, 10, 20),
             ([9], [0], 10, 500),  # past the walk's end, its all-zero table at 495
+            ([9, 0], [3, 1], 10, 300),
         ],
     )
     def test_dropping_zero_rows_is_exact(self, digits, counts, base, digit_limit):

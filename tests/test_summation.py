@@ -271,6 +271,16 @@ class TestPartialSum:
         assert r.digits_processed == 10 ** 5
         assert r.requested_sum == Decimal("0.002362347838619")
 
+    def test_digit_limit_above_maxsize(self):
+        # the walk ends by itself at length 495, so a limit past sys.maxsize
+        # gives the value at 10**3 and still reports the limit
+        c = ConditionSet.of([9], [0])
+        r = partial_sum(c, 10 ** 20, 15)
+        want = partial_sum(c, 10 ** 3, 15)
+        assert r.requested_sum == want.requested_sum == Decimal("22.920676619264150")
+        assert r.levels == want.levels
+        assert r.digits_processed == 10 ** 20
+
 
 class TestThresholdSearch:
     def test_one_nine_reaching_23(self, ulp):
