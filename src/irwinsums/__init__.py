@@ -12,7 +12,6 @@ from .model import (
     ConditionSet,
     DigitOutOfRange,
     DuplicateDigit,
-    EstimateFailed,
     InsufficientAccuracy,
     IrwinSumError,
     LimitTooLarge,
@@ -51,7 +50,6 @@ __all__ = [
     "ConditionSet",
     "DigitOutOfRange",
     "DuplicateDigit",
-    "EstimateFailed",
     "InsufficientAccuracy",
     "IrwinSumError",
     "LimitTooLarge",

@@ -55,10 +55,6 @@ class RangeTooLarge(IrwinSumError):
     """A direct enumeration or a power-sum table would exceed its budget."""
 
 
-class EstimateFailed(IrwinSumError):
-    """No power-truncation bound was found within the search window."""
-
-
 class LimitTooLarge(IrwinSumError):
     """A brute-force enumeration limit exceeds the oracle budget."""
 

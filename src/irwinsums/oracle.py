@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from operator import add, floordiv, le, mul
+from operator import add, floordiv, index, le, mul
 
 from .fixedpoint import div_nearest, fixed_to_decimal
 from .model import ConditionSet, LimitTooLarge
@@ -105,10 +105,14 @@ def _occurrence_runs(conditions: ConditionSet, start: int, stop: int):
     yield from one_by_one(max(last * width, start), stop)
 
 
-def _check_mode(mode: str) -> bool:
+def _check_query(mode: str, limit: int) -> tuple[bool, int]:
+    """Whether ``mode`` is exact, and ``limit`` as an integer of at least 1."""
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    return mode == "exact"
+    limit = index(limit)
+    if limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
+    return mode == "exact", limit
 
 
 def _tree_sum(parts: list[Fraction]) -> Fraction:
@@ -125,7 +129,7 @@ def _tree_sum(parts: list[Fraction]) -> Fraction:
 
 def brute_force_fraction(conditions: ConditionSet, limit: int, mode: str = "exact") -> Fraction:
     """Exact rational sum of 1/n over qualifying n < limit."""
-    exact = _check_mode(mode)
+    exact, limit = _check_query(mode, limit)
     if limit > EXACT_RATIONAL_LIMIT:
         raise LimitTooLarge(
             f"limit {limit} exceeds the exact-rational budget {EXACT_RATIONAL_LIMIT}"
@@ -195,9 +199,9 @@ def brute_force_sum(
     10**6 integers on chunk boundaries: one span (``jobs == 1`` or
     ``limit <= 10**6``) is summed in this process, more in one process each.
     Integer partial sums make the result the same for every ``jobs``.
-    ``jobs < 1`` or ``decimals < 0`` raises ``ValueError``.
+    ``jobs < 1``, ``decimals < 0`` or ``limit < 1`` raises ``ValueError``.
     """
-    exact = _check_mode(mode)
+    exact, limit = _check_query(mode, limit)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if decimals < 0:
@@ -231,6 +235,9 @@ def block_cell_sums(
 ) -> list[Fraction]:
     """Per-occurrence-vector sums of 1/n over exactly ``digit_length``-digit
     denominators, for cross-checking one recurrence block cell by cell."""
+    digit_length = index(digit_length)
+    if digit_length < 1:
+        raise ValueError("digit_length must be >= 1")
     base = conditions.base
     start = base ** (digit_length - 1)
     stop = base ** digit_length

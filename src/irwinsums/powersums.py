@@ -13,12 +13,7 @@ import math
 from dataclasses import dataclass
 from operator import gt
 
-from .model import (
-    ConditionSet,
-    EstimateFailed,
-    PrecisionPlan,
-    RangeTooLarge,
-)
+from .model import ConditionSet, PrecisionPlan, RangeTooLarge
 
 # Upper bound on base**digit_length for direct enumeration.
 DIRECT_ENUM_LIMIT = 10 ** 8
@@ -36,6 +31,14 @@ class PowerSumTable:
 
     digit_length: int
     rows: list[list[int]]
+
+
+def _check_enumerable(base: int, digit_length: int) -> None:
+    if base ** digit_length > DIRECT_ENUM_LIMIT:
+        raise RangeTooLarge(
+            f"{base}**{digit_length} exceeds the enumeration budget of "
+            f"{DIRECT_ENUM_LIMIT}"
+        )
 
 
 def digit_power_sum(base: int, n: int, conditions: ConditionSet) -> int:
@@ -72,11 +75,7 @@ def direct_sum(
     if digit_length < 1:
         raise ValueError("digit_length must be >= 1")
     base = conditions.base
-    if base ** digit_length > DIRECT_ENUM_LIMIT:
-        raise RangeTooLarge(
-            f"{base}**{digit_length} exceeds the enumeration budget of "
-            f"{DIRECT_ENUM_LIMIT}"
-        )
+    _check_enumerable(base, digit_length)
 
     digits = conditions.digits
     counts = conditions.counts
@@ -144,21 +143,20 @@ def estimate_max_power(base: int, requested_decimals: int, direct_sum_digits: in
     """Smallest power J (plus a margin of 2) whose tail over the last
     directly-summed block drops below 10**-requested_decimals.
 
-    The initial guess ``ceil(log_base(10) * decimals / (direct_sum_digits - 1))``
-    is refined upward by direct evaluation, up to 10x the guess.
+    The search steps up from the guess
+    ``ceil(log_base(10) * decimals / (direct_sum_digits - 1))`` and ends by
+    itself: once ``a**J`` exceeds ``_tail_below``'s scale every term is 0,
+    and the test holds for any block of fewer than 10**10 integers.  A seed
+    block past the enumeration budget is refused first, as in ``direct_sum``.
     """
     if direct_sum_digits < 2:
         raise ValueError("direct_sum_digits must be >= 2")
+    _check_enumerable(base, direct_sum_digits)
     a = base ** (direct_sum_digits - 1)
     b = base ** direct_sum_digits - 1
-    guess = math.ceil(
+    power = max(1, math.ceil(
         math.log(10) / math.log(base) * requested_decimals / (direct_sum_digits - 1)
-    )
-    guess = max(guess, 1)
-    for power in range(guess, 10 * guess + 1):
-        if _tail_below(a, b, power, requested_decimals):
-            return power + 2
-    raise EstimateFailed(
-        f"no truncation order up to {10 * guess} bounds the tail below "
-        f"10^-{requested_decimals}"
-    )
+    ))
+    while not _tail_below(a, b, power, requested_decimals):
+        power += 1
+    return power + 2

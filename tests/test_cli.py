@@ -365,6 +365,15 @@ class TestOracleCommand:
         )
         assert code == 5
 
+    @pytest.mark.parametrize("limit", ["0", "-5"])
+    def test_limit_below_one_exits_2(self, capsys, limit):
+        code, out, err = run(
+            capsys, "oracle", "--digits", "9", "--counts", "1", "--limit", limit,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"limit must be at least 1, got {limit}" in err
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exits_2(self, capsys, threads):
         code, out, err = run(

@@ -74,6 +74,36 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="decimals must be >= 0"):
             brute_force_sum(ConditionSet.of([9], [0]), 10 ** 8 + 1, decimals=-1)
 
+    @pytest.mark.parametrize(
+        "limit, error, message",
+        [
+            (0, ValueError, "limit must be at least 1, got 0"),
+            (-5, ValueError, "limit must be at least 1, got -5"),
+            (100.0, TypeError, "cannot be interpreted as an integer"),
+        ],
+    )
+    def test_limit_is_a_positive_integer(self, limit, error, message):
+        c = ConditionSet.of([9], [1])
+        with pytest.raises(error, match=message):
+            brute_force_sum(c, limit)
+        with pytest.raises(error, match=message):
+            brute_force_fraction(c, limit)
+
+    def test_limit_one_is_the_empty_range(self):
+        c = ConditionSet.of([9], [0])
+        assert brute_force_sum(c, 1) == 0
+        assert brute_force_fraction(c, 1) == 0
+
+    def test_block_digit_length_is_a_positive_integer(self, monkeypatch):
+        # refused before any enumeration
+        monkeypatch.setattr(oracle, "_occurrence_runs", None)
+        c = ConditionSet.of([9], [1])
+        for digit_length in (0, -2):
+            with pytest.raises(ValueError, match="digit_length must be >= 1"):
+                block_cell_sums(c, digit_length)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            block_cell_sums(c, 2.0)
+
     def test_budget_guard(self):
         with pytest.raises(LimitTooLarge):
             brute_force_sum(ConditionSet.of([9], [0]), 10 ** 8 + 1)

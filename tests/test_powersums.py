@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from irwinsums.fixedpoint import div_nearest
-from irwinsums.model import ConditionSet, PrecisionPlan, RangeTooLarge, occurrence_index
+from irwinsums.model import (
+    ConditionSet,
+    PrecisionPlan,
+    RangeTooLarge,
+    direct_sum_digit_count,
+    occurrence_index,
+)
 from irwinsums.oracle import block_cell_sums
 from irwinsums.powersums import digit_power_sum, direct_sum, estimate_max_power
 from irwinsums.summation import build_plan
@@ -213,10 +220,41 @@ class TestEstimateMaxPower:
             tail = sum(Fraction(1, n ** power) for n in range(a, b + 1))
             assert tail < Fraction(1, 10 ** decimals)
 
-    def test_estimate_failure_is_reported(self, monkeypatch):
+    def test_block_past_budget_is_refused_before_searching(self, monkeypatch):
+        # 9 * 10**10 seed integers: the search would walk them one by one
         import irwinsums.powersums as powersums
-        from irwinsums.model import EstimateFailed
 
-        monkeypatch.setattr(powersums, "_tail_below", lambda *a: False)
-        with pytest.raises(EstimateFailed):
-            powersums.estimate_max_power(10, 15, 3)
+        def no_search(*args):
+            raise AssertionError("searched a block past the budget")
+
+        monkeypatch.setattr(powersums, "_tail_below", no_search)
+        with pytest.raises(RangeTooLarge):
+            powersums.estimate_max_power(10, 15, 11)
+
+    def test_every_plan_stops_at_its_guess_or_one_above(self, monkeypatch):
+        # every (base, decimals) build_plan accepts; J fixes the digits of
+        # every result, so the list must keep the digest recorded for it
+        import irwinsums.powersums as powersums
+
+        calls = []
+        tail_below = powersums._tail_below
+
+        def counted(*args):
+            calls.append(args)
+            return tail_below(*args)
+
+        monkeypatch.setattr(powersums, "_tail_below", counted)
+        powers = []
+        for base in range(2, 11):
+            for decimals in range(5, 1001):
+                calls.clear()
+                powers.append(
+                    powersums.estimate_max_power(
+                        base, decimals, direct_sum_digit_count(base)
+                    )
+                )
+                assert len(calls) in (1, 2), (base, decimals)
+        digest = hashlib.sha256(repr(powers).encode()).hexdigest()
+        assert digest == (
+            "fa34482a9eb4f0676cd0743171eccb1ccc7d1c853be0ade8337158629be94f63"
+        )
