@@ -234,7 +234,10 @@ def block_cell_sums(
     conditions: ConditionSet, digit_length: int, decimals: int = 30
 ) -> list[Fraction]:
     """Per-occurrence-vector sums of 1/n over exactly ``digit_length``-digit
-    denominators, for cross-checking one recurrence block cell by cell."""
+    denominators, for cross-checking one recurrence block cell by cell.
+
+    One ``Fraction`` per cell: more cells than ``EXACT_RATIONAL_LIMIT`` raise
+    ``LimitTooLarge`` before any is allocated."""
     digit_length = index(digit_length)
     if digit_length < 1:
         raise ValueError("digit_length must be >= 1")
@@ -243,6 +246,11 @@ def block_cell_sums(
     stop = base ** digit_length
     if stop > ENUMERATION_BUDGET:
         raise LimitTooLarge(f"{base}**{digit_length} exceeds the enumeration budget")
+    if conditions.cell_count > EXACT_RATIONAL_LIMIT:
+        raise LimitTooLarge(
+            f"{conditions.cell_count} cells exceed the exact-rational budget "
+            f"{EXACT_RATIONAL_LIMIT}"
+        )
 
     strides = conditions.strides
     scale = 10 ** (decimals + 10)

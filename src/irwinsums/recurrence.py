@@ -19,33 +19,43 @@ the power sums of every block from a seed on are the fixed point of
 z = s + T z, with s the seed table and T one step.  ``solve_tail`` finds it
 by back-substitution instead of walking the lengths one by one.
 
-One row kernel, ``_fill_row``, computes every cell of both: ``advance`` fills
-the next length's rows from the previous ones, and ``solve_tail`` fills the
-unknown rows from the seed and the rows it has already solved.  The one
-exception is a step of an infinite series whose rows above power 1 are 0,
-as in most of a long partial walk: its only term is n = 0, a two-term
-stencil (the cell times base - m, plus its neighbours, over base) that
-``_power1_step`` applies to the whole row at once.  The kernel skips
-terms that read only exact zeros: the solve evaluates a cell's terms only up
-to its height, the top power solved so far where the cell or a neighbour is
-nonzero, and a step's coefficients and divisor belong to its input's top
-nonzero power (a higher power would scale numerators and divisor alike).
+One row kernel, ``_fill_row``, computes every cell of the solve and of an
+infinite series' steps: ``advance`` fills the next length's rows from the
+previous ones, and ``solve_tail`` fills the unknown rows from the seed and
+the rows it has already solved.  The kernel skips terms that read only exact
+zeros: the solve evaluates a cell's terms only up to its height, the top
+power solved so far where the cell or a neighbour is nonzero, and a step's
+coefficients and divisor belong to its input's top nonzero power (a higher
+power would scale numerators and divisor alike).  An infinite series' step
+whose rows above power 1 are 0, as in most of a long partial walk, has only
+the term n = 0, a two-term stencil (the cell times base - m, plus its
+neighbours, over base) that ``_power1_step`` applies to the whole row at
+once.
 
-A kernel step fills only the cells its length can reach: an i-digit integer
-has at most i constrained digits, and exactly i when every digit is
-constrained.  The stencil computes the others too, as 0.
+A finite series constrains every digit, so its table at length i is nonzero
+only on the layer |k| = i, and its step multiplies nothing per neighbour:
+scaled by base**(top - p), a cell's powers p = 1..top are the coefficients of
+a polynomial, and the expansion through digit d is that polynomial's Taylor
+shift by -d.  ``_taylor_numerators`` walks the digits upward and shifts the
+whole layer by -1 between them, one subtraction pass per step of the shift.
+
+A step fills only the cells its length can reach: an i-digit integer has at
+most i constrained digits, and exactly i when every digit is constrained.
+The stencil computes the others too, as 0.
 
 The neighbour with count c decremented lies ``stride_c`` below a cell, so the
 slot layout keeps one ``(c, stride_c)`` pattern per support set, at most 2**m,
 and grows the layout one condition at a time instead of decoding each slot.
+A finite step needs no patterns, only the slots of two grades |k|, which
+``_layers`` keeps per grade, so that a step reads its layers without a scan.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
-from operator import add, mul
-from typing import Callable, Iterable, Iterator
+from itertools import count, repeat
+from operator import add, itemgetter, mul, sub
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .fixedpoint import div_nearest, div_toward_zero
 from .model import ConditionSet
@@ -69,6 +79,30 @@ def _slot_layout(conditions: ConditionSet) -> tuple[tuple, tuple[int, ...]]:
         patterns += ext * n
         weights = [w + k for k in range(n + 1) for w in weights]
     return tuple(patterns), tuple(weights)
+
+
+@lru_cache(maxsize=32)
+def _layers(conditions: ConditionSet) -> tuple[Sequence[int], ...]:
+    """Per grade w = 0..sum(counts), the slots with |k| = w, in machine ints.
+
+    Built one condition at a time, as ``_slot_layout`` is: the slots of grade
+    w with count k of condition c are the earlier slots of grade w - k, each
+    raised by k * stride_c.
+    """
+    from array import array  # only a finite series loads it
+
+    layers = (array("l", [0]),)
+    for n, stride in zip(conditions.counts, conditions.strides):
+        top = len(layers) - 1
+        layers = tuple(
+            array("l", [
+                slot + k * stride
+                for k in range(max(0, w - top), min(n, w) + 1)
+                for slot in layers[w - k]
+            ])
+            for w in range(top + n + 1)
+        )
+    return layers
 
 
 def expansion_terms(
@@ -170,6 +204,57 @@ def _power1_step(row: list[int], conditions: ConditionSet) -> list[int]:
     return [s // base if s >= 0 else -(-s // base) for s in numerators]
 
 
+def _taylor_numerators(
+    rows: list[list[int]], conditions: ConditionSet, sources: Sequence[int],
+    targets: Sequence[int], top: int,
+) -> list[list[int]]:
+    """Per power j = 1..top, the numerators of a finite series' step at each
+    target slot, over the divisor base**top.
+
+    With u_p = base**(top - p) * v_p on the sources, the kernel's numerator
+    for power j, read from a neighbour through digit d, is
+    ``sum_n (-1)**n * C(j+n-1, n) * d**n * u_{j+n}``: the coefficient of
+    t**(j-1) in ``sum_p u_p * (t - d)**(p-1)``, the Taylor shift of u by -d.
+    Every digit is constrained, so walking the digits upward shifts u by -1
+    between them, one subtraction pass over the sources per step of the
+    shift; each target then adds, per condition c with k_c > 0, the shifted u
+    at its neighbour ``slot - stride_c``.  These are the kernel's integers,
+    regrouped.
+    """
+    if not (top and targets):
+        return []
+    base = conditions.base
+    # u[p - 1] on the sources, then one 0 for the reads of a missing neighbour
+    u = []
+    for p in range(1, top + 1):
+        row, scale = rows[p - 1], base ** (top - p)
+        u.append([scale * row[slot] for slot in sources] + [0])
+    where = dict(zip(sources, count()))
+    blank = len(sources)
+    strides = {
+        d: stride
+        for d, n, stride in zip(conditions.digits, conditions.counts, conditions.strides)
+        if n
+    }
+    nums = [[0] * len(targets) for _ in range(top)]
+    for d in range(max(strides, default=0) + 1):
+        if d:
+            for low in range(top - 1):
+                for k in range(top - 2, low - 1, -1):
+                    u[k] = list(map(sub, u[k], u[k + 1]))
+        if d in strides:
+            # below a target with k_c = 0 lies a borrow from a higher count,
+            # which raises |k| or leaves the table: never a source.  One more
+            # read of the 0 makes even a single target's read a tuple.
+            take = itemgetter(
+                *map(where.get, map(sub, targets, repeat(strides[d])), repeat(blank)),
+                blank,
+            )
+            for k, shifted in enumerate(u):
+                nums[k] = list(map(add, nums[k], take(shifted)))
+    return nums
+
+
 def _top(rows: list[list[int]], j: int) -> int:
     """The highest power up to j whose row is not all 0, or 0 when none is."""
     return next((p for p in range(j, 0, -1) if any(rows[p - 1])), 0)
@@ -195,25 +280,36 @@ def advance(
     row: the expansion then has only its n = 0 term, with coefficient
     u = base - m on the cell itself and d**0 = 1 on each neighbour, over the
     divisor ``base``, and a cell past |k| = i + 1 reads only zeros, so every
-    integer equals the kernel's.  A finite series keeps the kernel: its
-    tables are nonzero only on the layer |k| = i, which a whole-row pass
-    would not skip.
+    integer equals the kernel's.  A finite series steps by
+    ``_taylor_numerators`` at every top: its tables are nonzero only on the
+    layer |k| = i, so it reads that layer and the next from ``_layers`` and
+    writes the next layer's quotients, truncated as the kernel's are.
     """
     if len(table.rows) < j_active:
         raise ValueError(
             f"table holds {len(table.rows)} powers, {j_active} required"
         )
     length = table.digit_length + 1
-    finite = conditions.is_finite_series()
     top = _top(table.rows, j_active)
-    if top == 1 and not finite:
+    if conditions.is_finite_series():
+        layers = _layers(conditions)
+        sources, targets = (
+            layers[w] if w < len(layers) else () for w in (length - 1, length)
+        )
+        nums = _taylor_numerators(table.rows, conditions, sources, targets, top)
+        divisor = conditions.base ** top
+        new_rows = [[0] * conditions.cell_count for _ in range(j_active)]
+        for row, num in zip(new_rows, nums):
+            for slot, s in zip(targets, num):
+                row[slot] = s // divisor if s >= 0 else -(-s // divisor)
+        return PowerSumTable(length, new_rows), _top(new_rows, top)
+    if top == 1:
         row = _power1_step(table.rows[0], conditions)
         rest = [[0] * len(row) for _ in range(j_active - 1)]
         return PowerSumTable(length, [row, *rest]), 1 if any(row) else 0
 
     neighbors, weights = _slot_layout(conditions)
-    low = length if finite else 0
-    targets = [slot for slot, w in enumerate(weights) if low <= w <= length]
+    targets = [slot for slot, w in enumerate(weights) if w <= length]
     new_rows = [[0] * len(weights) for _ in range(j_active)]
     for j, coeffs in expansion_terms(conditions, top):
         row = new_rows[j - 1]

@@ -110,6 +110,12 @@ class TestBruteForce:
         with pytest.raises(LimitTooLarge):
             brute_force_fraction(ConditionSet.of([9], [0]), 10 ** 6 + 2)
 
+    def test_block_cells_within_the_exact_rational_budget(self, monkeypatch):
+        # refused before one slot per cell is allocated
+        monkeypatch.setattr(oracle, "_occurrence_runs", None)
+        with pytest.raises(LimitTooLarge, match="1000000001 cells"):
+            block_cell_sums(ConditionSet.of([0], [10 ** 9]), 2)
+
     def test_matches_engine_partial(self):
         c = ConditionSet.of([9], [2])
         got = brute_force_sum(c, 10 ** 4, decimals=20)

@@ -1,5 +1,5 @@
-"""Property-based checks for the model, coefficients, the power-1 step, and
-formatting."""
+"""Property-based checks for the model, coefficients, the power-1 and finite
+steps, and formatting."""
 
 from __future__ import annotations
 
@@ -64,6 +64,43 @@ def test_power1_step_equals_full_term_step(conditions, digit_length, j_active, r
         for slot in range(cells)
     ]
     table = PowerSumTable(digit_length, [row] + [[0] * cells] * (j_active - 1))
+    got, live = advance(table, conditions, j_active)
+    want, want_live = full_term_step(table, conditions, j_active)
+    assert got.rows == want.rows
+    assert live == want_live
+    assert got.digit_length == digit_length + 1
+
+
+@st.composite
+def finite_sets(draw, max_cells=3000):
+    """Every digit of a base, in shuffled order, with counts 0..3."""
+    base = draw(st.integers(min_value=2, max_value=10))
+    digits = draw(st.permutations(range(base)))
+    counts = []
+    cells = 1
+    for _ in digits:
+        count = draw(st.integers(min_value=0, max_value=min(3, max_cells // cells - 1)))
+        counts.append(count)
+        cells *= count + 1
+    return ConditionSet.of(digits, counts, base=base)
+
+
+@given(
+    finite_sets(),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=1, max_value=5),
+    st.data(),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=150, deadline=None)
+def test_finite_step_equals_full_term_step(conditions, digit_length, j_active, data, rng):
+    # values of either sign in every cell of the rows up to `top`, also off
+    # the layer |k| = digit_length, which neither step reads; negative
+    # numerators truncate toward zero
+    top = data.draw(st.integers(min_value=0, max_value=j_active))
+    cells = conditions.cell_count
+    rows = [[rng.randint(-10 ** 30, 10 ** 30) for _ in range(cells)] for _ in range(top)]
+    table = PowerSumTable(digit_length, rows + [[0] * cells] * (j_active - top))
     got, live = advance(table, conditions, j_active)
     want, want_live = full_term_step(table, conditions, j_active)
     assert got.rows == want.rows

@@ -286,6 +286,23 @@ class TestSlotLayout:
                 lower[cond] -= 1
                 assert slot - stride == occurrence_index(lower, c)
 
+    @pytest.mark.parametrize(
+        "digits,counts,base",
+        [
+            ([0, 1, 2], [2, 2, 2], 3),
+            ([9, 0, 3], [2, 0, 1], 10),
+            ([0, 1], [3, 2], 2),
+            (list(range(10)), [1, 2, 0, 1, 2, 0, 1, 2, 0, 1], 10),
+        ],
+    )
+    def test_layers_partition_the_slots_by_grade(self, digits, counts, base):
+        c = ConditionSet.of(digits, counts, base=base)
+        _, weights = recurrence._slot_layout(c)
+        layers = recurrence._layers(c)
+        assert len(layers) == sum(counts) + 1
+        for w, layer in enumerate(layers):
+            assert sorted(layer) == [s for s, g in enumerate(weights) if g == w]
+
 
 def full_term_step(table, conditions, j_active):
     """``advance`` with every row and every expansion term of every slot
@@ -351,6 +368,12 @@ class TestSkippedTermsAreExactZeros:
             ([9, 0], [0, 2], 10),  # a count-0 digit beside a counted one
             ([9, 0, 5], [2, 1, 3], 10),
             ([0, 2], [2, 3], 3),
+            # finite series, stepped by Taylor shifts: digits out of order,
+            # and a count-0 digit among counted ones
+            (list(range(10)), [1] * 10, 10),
+            ([1, 0], [4, 3], 2),
+            ([2, 0, 1], [2, 2, 2], 3),
+            (list(range(8)), [3, 1, 0, 2, 1, 1, 2, 3], 8),
         ],
     )
     def test_step_equals_full_term_step(self, digits, counts, base):
@@ -372,14 +395,18 @@ class TestSkippedTermsAreExactZeros:
                 assert table.digit_length == want.digit_length
 
     @pytest.mark.parametrize(
-        "digits,counts,base,kernel",
-        [([9, 0], [3, 1], 10, False), ([0], [2], 3, False), ([0, 1], [2, 1], 2, True)],
+        "digits,counts,base,steps",
+        [
+            ([9, 0], [3, 1], 10, ["_power1_step"]),
+            ([0], [2], 3, ["_power1_step"]),
+            ([0, 1], [2, 1], 2, []),
+        ],
     )
     def test_power1_tables_of_infinite_series_skip_the_kernel(
-        self, digits, counts, base, kernel, monkeypatch
+        self, digits, counts, base, steps, monkeypatch
     ):
         # rows above power 1 are 0: an infinite series steps by the whole-row
-        # stencil alone, a finite one by the kernel
+        # stencil alone, a finite one by Taylor shifts, which call neither
         c = ConditionSet.of(digits, counts, base=base)
         plan = build_plan(c, 15)
         seeded = direct_sum(c, 2, plan.max_power, plan)
@@ -387,13 +414,15 @@ class TestSkippedTermsAreExactZeros:
         table = PowerSumTable(2, seeded.rows[:1] + [zero] * (plan.max_power - 1))
         want, want_live = full_term_step(table, c, plan.max_power)
         calls = []
-        fill_row = recurrence._fill_row
-        monkeypatch.setattr(
-            recurrence, "_fill_row", lambda *a: calls.append(1) or fill_row(*a)
-        )
+        for name in ("_fill_row", "_power1_step"):
+            step = getattr(recurrence, name)
+            monkeypatch.setattr(
+                recurrence, name,
+                lambda *a, name=name, step=step: calls.append(name) or step(*a),
+            )
         got, live = advance(table, c, plan.max_power)
         assert (got.rows, got.digit_length, live) == (want.rows, 3, want_live)
-        assert bool(calls) == kernel
+        assert calls == steps
 
 
 def walk_totals(conditions, digit_limit, plan):
