@@ -86,11 +86,12 @@ class ConditionSet:
     conditions: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        index = operator.index  # refuses a float instead of truncating it
+        object.__setattr__(self, "base", index(self.base))
         if not MIN_BASE <= self.base <= MAX_BASE:
             raise BaseOutOfRange(
                 f"base {self.base} must be in the range {MIN_BASE} through {MAX_BASE}"
             )
-        index = operator.index  # refuses a float instead of truncating it
         object.__setattr__(
             self, "conditions", tuple((index(d), index(n)) for d, n in self.conditions)
         )

@@ -195,13 +195,14 @@ def brute_force_sum(
 
     Each term is rounded to an integer at ten spare decimals.  Digits are
     counted once per chunk of ``base**t >= 1000`` integers (see the module
-    docstring).  The range splits into at most ``jobs`` spans of at least
-    10**6 integers on chunk boundaries: one span (``jobs == 1`` or
-    ``limit <= 10**6``) is summed in this process, more in one process each.
-    Integer partial sums make the result the same for every ``jobs``.
-    ``jobs < 1``, ``decimals < 0`` or ``limit < 1`` raises ``ValueError``.
+    docstring).  The range splits into at most ``jobs`` spans of at least 10**6
+    integers on chunk boundaries: one span (``jobs == 1`` or ``limit <= 10**6``)
+    is summed in this process, more in one process each.  Integer partial sums
+    make the result the same for every ``jobs``.  ``jobs < 1``, ``decimals < 0``
+    or ``limit < 1`` raises ``ValueError``, and a float ``TypeError``.
     """
     exact, limit = _check_query(mode, limit)
+    decimals, jobs = index(decimals), index(jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if decimals < 0:
@@ -238,7 +239,7 @@ def block_cell_sums(
 
     One ``Fraction`` per cell: more cells than ``EXACT_RATIONAL_LIMIT`` raise
     ``LimitTooLarge`` before any is allocated."""
-    digit_length = index(digit_length)
+    digit_length, decimals = index(digit_length), index(decimals)
     if digit_length < 1:
         raise ValueError("digit_length must be >= 1")
     base = conditions.base

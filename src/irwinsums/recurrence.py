@@ -46,8 +46,8 @@ The stencil computes the others too, as 0.
 The neighbour with count c decremented lies ``stride_c`` below a cell, so the
 slot layout keeps one ``(c, stride_c)`` pattern per support set, at most 2**m,
 and grows the layout one condition at a time instead of decoding each slot.
-A finite step needs no patterns, only the slots of two grades |k|, which
-``_layers`` keeps per grade, so that a step reads its layers without a scan.
+A step reads its reach, a prefix or two slices, without a scan from
+``_grades``: every slot in one array ordered by |k|, and where each |k| starts.
 """
 
 from __future__ import annotations
@@ -63,46 +63,43 @@ from .powersums import PowerSumTable, digit_power_sum
 
 
 @lru_cache(maxsize=32)
-def _slot_layout(conditions: ConditionSet) -> tuple[tuple, tuple[int, ...]]:
-    """Per flat slot: the (condition, stride) pairs of its counts > 0, in one
-    tuple shared by every slot with the same support, and |k|.
+def _slot_layout(conditions: ConditionSet) -> tuple[tuple, ...]:
+    """Per flat slot, the (condition, stride) pairs of its counts > 0, in one
+    tuple shared by every slot with the same support.
 
     Built one condition at a time: condition c is more significant than every
     earlier one, so the slots with count k of c are the earlier layout again,
-    each pattern extended by ``(c, stride)`` when k > 0 and each weight by k.
+    each pattern extended by ``(c, stride)`` when k > 0.
     """
     patterns: list[tuple] = [()]
-    weights = [0]
     for c, (n, stride) in enumerate(zip(conditions.counts, conditions.strides)):
         shared: dict[tuple, tuple] = {}
         ext = [shared.setdefault(p, p + ((c, stride),)) for p in patterns]
         patterns += ext * n
-        weights = [w + k for k in range(n + 1) for w in weights]
-    return tuple(patterns), tuple(weights)
+    return tuple(patterns)
 
 
 @lru_cache(maxsize=32)
-def _layers(conditions: ConditionSet) -> tuple[Sequence[int], ...]:
-    """Per grade w = 0..sum(counts), the slots with |k| = w, in machine ints.
+def _grades(conditions: ConditionSet) -> tuple[Sequence[int], Sequence[int]]:
+    """``order``, every slot by grade |k|, and ``starts``: grade w is
+    ``order[starts[w]:starts[w + 1]]``.  ``order`` is a view at its exact size
+    (``extend`` over-allocates), and its slices copy nothing.
 
     Built one condition at a time, as ``_slot_layout`` is: the slots of grade
     w with count k of condition c are the earlier slots of grade w - k, each
-    raised by k * stride_c.
-    """
-    from array import array  # only a finite series loads it
-
-    layers = (array("l", [0]),)
+    raised by k * stride_c."""
+    from array import array  # only a kernel or finite step loads it
+    order, starts = array("l", [0]), array("l", [0, 1])
     for n, stride in zip(conditions.counts, conditions.strides):
-        top = len(layers) - 1
-        layers = tuple(
-            array("l", [
-                slot + k * stride
-                for k in range(max(0, w - top), min(n, w) + 1)
-                for slot in layers[w - k]
-            ])
-            for w in range(top + n + 1)
-        )
-    return layers
+        top = len(starts) - 2
+        grown, starts_grown = array("l"), array("l", [0])
+        for w in range(top + n + 1):
+            for k in range(max(0, w - top), min(n, w) + 1):
+                layer = order[starts[w - k] : starts[w - k + 1]]
+                grown.extend(map(add, layer, repeat(k * stride)) if k else layer)
+            starts_grown.append(len(grown))
+        order, starts = grown, starts_grown
+    return memoryview(array("l", order)), starts
 
 
 def expansion_terms(
@@ -282,7 +279,7 @@ def advance(
     divisor ``base``, and a cell past |k| = i + 1 reads only zeros, so every
     integer equals the kernel's.  A finite series steps by
     ``_taylor_numerators`` at every top: its tables are nonzero only on the
-    layer |k| = i, so it reads that layer and the next from ``_layers`` and
+    layer |k| = i, so it reads that layer and the next from ``_grades`` and
     writes the next layer's quotients, truncated as the kernel's are.
     """
     if len(table.rows) < j_active:
@@ -292,10 +289,10 @@ def advance(
     length = table.digit_length + 1
     top = _top(table.rows, j_active)
     if conditions.is_finite_series():
-        layers = _layers(conditions)
-        sources, targets = (
-            layers[w] if w < len(layers) else () for w in (length - 1, length)
-        )
+        order, starts = _grades(conditions)
+        last = len(starts) - 1
+        low, mid, high = (starts[min(w, last)] for w in range(length - 1, length + 2))
+        sources, targets = order[low:mid], order[mid:high]
         nums = _taylor_numerators(table.rows, conditions, sources, targets, top)
         divisor = conditions.base ** top
         new_rows = [[0] * conditions.cell_count for _ in range(j_active)]
@@ -308,9 +305,10 @@ def advance(
         rest = [[0] * len(row) for _ in range(j_active - 1)]
         return PowerSumTable(length, [row, *rest]), 1 if any(row) else 0
 
-    neighbors, weights = _slot_layout(conditions)
-    targets = [slot for slot, w in enumerate(weights) if w <= length]
-    new_rows = [[0] * len(weights) for _ in range(j_active)]
+    order, starts = _grades(conditions)
+    targets = order[: starts[min(length + 1, len(starts) - 1)]]
+    neighbors = _slot_layout(conditions)
+    new_rows = [[0] * conditions.cell_count for _ in range(j_active)]
     for j, coeffs in expansion_terms(conditions, top):
         row = new_rows[j - 1]
         _fill_row(
@@ -335,7 +333,7 @@ def solve_tail(seed: PowerSumTable, conditions: ConditionSet) -> list[int]:
     """
     j_max = len(seed.rows)
     cells = range(conditions.cell_count)
-    neighbors, _ = _slot_layout(conditions)
+    neighbors = _slot_layout(conditions)
     strides = [s for s, n in zip(conditions.strides, conditions.counts) if n]
     scaled = conditions.base ** j_max
     z = [[0] * conditions.cell_count for _ in range(j_max)]

@@ -78,6 +78,13 @@ class TestValidation:
         assert ConditionSet.of([True], [False]) == ConditionSet.of([1], [0])
         assert ConditionSet.of([True], [False]).conditions == ((1, 0),)
 
+    @pytest.mark.parametrize("base", [10.0, 9.5, Fraction(10)])
+    def test_non_integral_base_is_refused(self, base):
+        # 10.0 once built a set equal to base 10 that failed deep in a sum,
+        # and 9.5 passed the range check
+        with pytest.raises(TypeError):
+            ConditionSet.of([9], [0], base=base)
+
 
 class TestClassification:
     def test_all_digits_constrained_is_finite(self):

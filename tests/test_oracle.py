@@ -89,6 +89,20 @@ class TestBruteForce:
         with pytest.raises(error, match=message):
             brute_force_fraction(c, limit)
 
+    @pytest.mark.parametrize(
+        "arg", [{"decimals": 2.5}, {"decimals": 20.0}, {"jobs": 1.5}]
+    )
+    def test_decimals_and_jobs_are_integers(self, monkeypatch, arg):
+        # refused before any enumeration, instead of failing in it (decimals)
+        # or running with a fractional worker count (jobs)
+        monkeypatch.setattr(oracle, "_occurrence_runs", None)
+        c = ConditionSet.of([9], [1])
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            brute_force_sum(c, 1000, **arg)
+        if "decimals" in arg:
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                block_cell_sums(c, 2, **arg)
+
     def test_limit_one_is_the_empty_range(self):
         c = ConditionSet.of([9], [0])
         assert brute_force_sum(c, 1) == 0

@@ -1,5 +1,5 @@
-"""Property-based checks for the model, coefficients, the power-1 and finite
-steps, and formatting."""
+"""Property-based checks for the model, coefficients, the power-1, kernel and
+finite steps, and formatting."""
 
 from __future__ import annotations
 
@@ -66,6 +66,34 @@ def test_power1_step_equals_full_term_step(conditions, digit_length, j_active, r
     table = PowerSumTable(digit_length, [row] + [[0] * cells] * (j_active - 1))
     got, live = advance(table, conditions, j_active)
     want, want_live = full_term_step(table, conditions, j_active)
+    assert got.rows == want.rows
+    assert live == want_live
+    assert got.digit_length == digit_length + 1
+
+
+@given(
+    condition_sets(max_cells=2000).filter(
+        lambda c: not c.is_finite_series() and c.num_conditions > 1
+    ),
+    st.integers(min_value=0, max_value=15),
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=0, max_value=2),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=100, deadline=None)
+def test_infinite_step_equals_full_term_step(conditions, digit_length, top, spare, rng):
+    # rows up to `top` >= 2 nonzero on the cells a digit length can reach: the
+    # kernel steps over grades |k| <= digit_length + 1, which are not a prefix
+    # of the slots once there are several conditions
+    cells = conditions.cell_count
+    grades = [sum(occurrence_vector(slot, conditions)) for slot in range(cells)]
+    rows = [
+        [rng.randint(-10 ** 30, 10 ** 30) if w <= digit_length else 0 for w in grades]
+        for _ in range(top)
+    ]
+    table = PowerSumTable(digit_length, rows + [[0] * cells] * spare)
+    got, live = advance(table, conditions, top + spare)
+    want, want_live = full_term_step(table, conditions, top + spare)
     assert got.rows == want.rows
     assert live == want_live
     assert got.digit_length == digit_length + 1

@@ -5,6 +5,7 @@ zero, and the row kernel skipping only terms that read exact zeros."""
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import replace
 from fractions import Fraction
 from itertools import repeat
@@ -243,10 +244,10 @@ class TestActiveSet:
         # series) gives the same integers as stepping every slot
         c = ConditionSet.of(digits, counts, base=base)
         reached = step_tables(c, last)
-        neighbors, weights = recurrence._slot_layout(c)
-        monkeypatch.setattr(
-            recurrence, "_slot_layout", lambda _: (neighbors, (0,) * len(weights))
-        )
+        # every slot in grade 0: each kernel step's reach is the whole table
+        cells = c.cell_count
+        every_slot = (array("l", range(cells)), (0,) + (cells,) * (sum(counts) + 1))
+        monkeypatch.setattr(recurrence, "_grades", lambda _: every_slot)
         monkeypatch.setattr(ConditionSet, "is_finite_series", lambda self: False)
         every = step_tables(c, last)
         assert [t.rows for t in reached] == [t.rows for t in every]
@@ -258,8 +259,8 @@ class TestSlotLayout:
         # one pattern object per set of nonzero counts: at most 2**10 for all
         # ten digits, not one per each of the 3**10 cells
         c = ConditionSet.of(list(range(10)), [2] * 10)
-        patterns, weights = recurrence._slot_layout(c)
-        assert len(patterns) == len(weights) == 3 ** 10
+        patterns = recurrence._slot_layout(c)
+        assert len(patterns) == 3 ** 10
         assert len({id(p) for p in patterns}) <= 2 ** 10
 
     @pytest.mark.parametrize(
@@ -274,10 +275,10 @@ class TestSlotLayout:
     )
     def test_stride_reaches_the_decremented_vector(self, digits, counts, base):
         c = ConditionSet.of(digits, counts, base=base)
-        patterns, weights = recurrence._slot_layout(c)
+        patterns = recurrence._slot_layout(c)
+        assert len(patterns) == c.cell_count
         for slot, pattern in enumerate(patterns):
             vector = occurrence_vector(slot, c)
-            assert weights[slot] == sum(vector)
             assert [cond for cond, _ in pattern] == [
                 cond for cond, k in enumerate(vector) if k
             ]
@@ -295,23 +296,28 @@ class TestSlotLayout:
             (list(range(10)), [1, 2, 0, 1, 2, 0, 1, 2, 0, 1], 10),
         ],
     )
-    def test_layers_partition_the_slots_by_grade(self, digits, counts, base):
+    def test_grades_place_every_slot_once_in_its_grade(self, digits, counts, base):
         c = ConditionSet.of(digits, counts, base=base)
-        _, weights = recurrence._slot_layout(c)
-        layers = recurrence._layers(c)
-        assert len(layers) == sum(counts) + 1
-        for w, layer in enumerate(layers):
-            assert sorted(layer) == [s for s, g in enumerate(weights) if g == w]
+        order, starts = recurrence._grades(c)
+        assert sorted(order) == list(range(c.cell_count))
+        assert len(starts) == sum(counts) + 2
+        assert starts[0] == 0 and starts[-1] == c.cell_count
+        assert list(starts) == sorted(starts)
+        for w in range(sum(counts) + 1):
+            grade = order[starts[w] : starts[w + 1]]
+            assert {sum(occurrence_vector(slot, c)) for slot in grade} <= {w}
 
 
 def full_term_step(table, conditions, j_active):
     """``advance`` with every row and every expansion term of every slot
     evaluated: the reference for the terms it skips."""
-    neighbors, weights = recurrence._slot_layout(conditions)
+    neighbors = recurrence._slot_layout(conditions)
     length = table.digit_length + 1
     low = length if conditions.is_finite_series() else 0
-    targets = [slot for slot, w in enumerate(weights) if low <= w <= length]
-    rows = [[0] * len(weights) for _ in range(j_active)]
+    cells = range(conditions.cell_count)
+    grades = [sum(occurrence_vector(slot, conditions)) for slot in cells]
+    targets = [slot for slot in cells if low <= grades[slot] <= length]
+    rows = [[0] * len(cells) for _ in range(j_active)]
     for j, coeffs in expansion_terms(conditions, j_active):
         recurrence._fill_row(
             rows[j - 1], rows[j - 1], table.rows[j - 1 :], coeffs, neighbors,
@@ -325,7 +331,7 @@ def full_term_step(table, conditions, j_active):
 def full_term_solve(seed, conditions):
     """``solve_tail`` with every expansion term of every slot evaluated."""
     j_max = len(seed.rows)
-    neighbors, _ = recurrence._slot_layout(conditions)
+    neighbors = recurrence._slot_layout(conditions)
     scaled = conditions.base ** j_max
     z = [[0] * conditions.cell_count for _ in range(j_max)]
     for j, coeffs in expansion_terms(conditions, j_max):
