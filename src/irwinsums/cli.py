@@ -183,9 +183,9 @@ def _run_engine(args: argparse.Namespace, digit_limit: Optional[int] = None) -> 
             f"max power = {plan.max_power}, direct digits = {plan.direct_sum_digits}"
         )
     if digit_limit is None:
-        result = irwin_sum(conditions, args.decimals, plan=plan)
+        result = irwin_sum(conditions, args.decimals)
     else:
-        result = partial_sum(conditions, digit_limit, args.decimals, plan=plan)
+        result = partial_sum(conditions, digit_limit, args.decimals)
     if args.verbose >= 3:
         # lengths past the walk's end repeat its last level with a zero block
         show, working = min(10, plan.requested_decimals), plan.working_decimals

@@ -174,14 +174,15 @@ class ConditionSet:
 
 
 def occurrence_index(vector: Sequence[int], conditions: ConditionSet) -> int:
-    """Flat slot of an occurrence vector: k1 + (n1+1)*k2 + (n1+1)(n2+1)*k3 + ..."""
+    """Flat slot of an occurrence vector: k1 + (n1+1)*k2 + (n1+1)(n2+1)*k3 + ...
+    (a float count raises ``TypeError``)."""
     counts = conditions.counts
     if len(vector) != len(counts):
         raise OutOfBounds(
             f"vector length {len(vector)} != {len(counts)} conditions"
         )
     index = 0
-    for k, n, stride in zip(vector, counts, conditions.strides):
+    for k, n, stride in zip(map(operator.index, vector), counts, conditions.strides):
         if not 0 <= k <= n:
             raise OutOfBounds(f"occurrence count {k} outside [0, {n}]")
         index += k * stride
@@ -189,7 +190,8 @@ def occurrence_index(vector: Sequence[int], conditions: ConditionSet) -> int:
 
 
 def occurrence_vector(index: int, conditions: ConditionSet) -> tuple[int, ...]:
-    """Inverse of :func:`occurrence_index`."""
+    """Inverse of :func:`occurrence_index`; a float index raises ``TypeError``."""
+    index = operator.index(index)
     if not 0 <= index < conditions.cell_count:
         raise OutOfBounds(
             f"index {index} outside [0, {conditions.cell_count})"

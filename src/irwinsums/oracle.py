@@ -270,6 +270,7 @@ def count_one_digit_numbers(digit: int, digit_length: int) -> int:
     The closed form assumes a nonzero digit; leading-zero asymmetry breaks it
     for digit 0, so that case is rejected (enumerate instead).
     """
+    digit, digit_length = index(digit), index(digit_length)
     if digit == 0:
         raise ValueError("closed-form count does not hold for digit 0")
     if not 1 <= digit <= 9:
@@ -291,8 +292,11 @@ def closed_form_base2(kind: str, decimals: int) -> Decimal:
 
     Terms are accumulated at ten spare decimals and the loop stops once a
     term underflows that scale, so the dropped tail is far below the
-    requested precision.
+    requested precision.  ``decimals < 0`` raises ``ValueError``.
     """
+    decimals = index(decimals)
+    if decimals < 0:
+        raise ValueError("decimals must be >= 0")
     spare = 10
     scale = 10 ** (decimals + spare)
     if kind == "single-one":

@@ -115,7 +115,7 @@ def _walk(
     Lengths below the seed are enumerated for their power-1 row only; the
     seed is enumerated with every power, and later lengths step the
     recurrence, dropping the top powers whose rows read exactly 0 down to
-    2 powers (a plan of 1 or 2 powers keeps them).
+    2 powers (:func:`build_plan`'s plans start from at least 3).
     ``sums`` is one list, updated in place: per cell, the sum of every block
     through ``digit_length``.  Only a block's nonzero cells are added; a
     finite series' block at length i is nonzero only where |k| = i, and the
@@ -140,8 +140,7 @@ def _walk(
             table = direct_sum(conditions, i, powers, plan)
         else:
             table, live = advance(table, conditions, j_active)
-            if j_active > 2:
-                j_active = max(live, 2)
+            j_active = max(live, 2)
         block = table.rows[0]
         for slot in compress(range(len(block)), block):
             sums[slot] += block[slot]
@@ -152,17 +151,14 @@ def _walk(
 
 def _compute(
     conditions: ConditionSet,
-    requested_decimals: int,
+    plan: PrecisionPlan,
     *,
     digit_limit: Optional[int] = None,
-    plan: Optional[PrecisionPlan] = None,
     walk: Optional[Iterator[tuple[int, PowerSumTable, int, list[int]]]] = None,
 ) -> SumResult:
-    """Run the engine; see the public wrappers for the result contracts.  A
-    ``walk`` passed in is consumed only through the run's last length."""
-    plan = plan or build_plan(conditions, requested_decimals)
-    if plan.requested_decimals != clamp_decimals(requested_decimals):
-        raise ValueError(f"the plan is for {plan.requested_decimals} decimals")
+    """Run the engine under ``plan``, which the public wrappers build with
+    :func:`build_plan`; see them for the result contracts.  A ``walk`` passed
+    in is consumed only through the run's last length."""
     if conditions.cell_count * plan.max_power > TABLE_CELL_LIMIT:
         raise RangeTooLarge(
             f"{conditions.cell_count} cells x {plan.max_power} powers exceed "
@@ -208,15 +204,10 @@ def _compute(
     )
 
 
-def irwin_sum(
-    conditions: ConditionSet,
-    requested_decimals: int = 15,
-    *,
-    plan: Optional[PrecisionPlan] = None,
-) -> SumResult:
+def irwin_sum(conditions: ConditionSet, requested_decimals: int = 15) -> SumResult:
     """Sum 1/n over integers whose constrained digits each occur exactly
     their prescribed number of times, to ``requested_decimals`` places."""
-    return _compute(conditions, requested_decimals, plan=plan)
+    return _compute(conditions, build_plan(conditions, requested_decimals))
 
 
 def at_most_sum(conditions: ConditionSet, requested_decimals: int = 15) -> Decimal:
@@ -226,17 +217,14 @@ def at_most_sum(conditions: ConditionSet, requested_decimals: int = 15) -> Decim
 
 
 def partial_sum(
-    conditions: ConditionSet,
-    digit_limit: int,
-    requested_decimals: int = 15,
-    *,
-    plan: Optional[PrecisionPlan] = None,
+    conditions: ConditionSet, digit_limit: int, requested_decimals: int = 15
 ) -> SumResult:
     """Sum restricted to denominators below base**digit_limit."""
     digit_limit = operator.index(digit_limit)
     if digit_limit < 1:
         raise ValueError("digit_limit must be >= 1")
-    return _compute(conditions, requested_decimals, digit_limit=digit_limit, plan=plan)
+    plan = build_plan(conditions, requested_decimals)
+    return _compute(conditions, plan, digit_limit=digit_limit)
 
 
 def threshold_search(
@@ -279,7 +267,7 @@ def threshold_search(
 
     # One walk gives the total and goes on to the crossing.
     walk = _walk(conditions, plan)
-    result = _compute(conditions, decimals, plan=plan, walk=walk)
+    result = _compute(conditions, plan, walk=walk)
     total = Fraction(result.requested_sum)
     if value > total:
         raise ThresholdAboveTotal(

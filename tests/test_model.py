@@ -155,6 +155,17 @@ class TestOccurrenceIndex:
         with pytest.raises(OutOfBounds):
             occurrence_vector(-1, c)
 
+    def test_float_count_or_index_is_refused(self):
+        # a float is not truncated, nor carried into the slot or the vector
+        c = ConditionSet.of([9, 3], [2, 1])
+        with pytest.raises(TypeError):
+            occurrence_index([1.5, 0], c)
+        with pytest.raises(TypeError):
+            occurrence_index((1, 1.0), c)
+        for index in (2.5, 2.0):
+            with pytest.raises(TypeError):
+                occurrence_vector(index, c)
+
     def test_derived_values_are_cached_and_read_only(self):
         # computed once into the instance dict; equality, hashing and
         # pickling (the oracle's process pool) still see the fields alone

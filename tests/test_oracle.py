@@ -411,6 +411,13 @@ class TestCountOneDigit:
         count = sum(1 for n in range(10, 100) if str(n).count("0") == 1)
         assert count == 9 != count_one_digit_numbers(9, 2)
 
+    def test_non_integral_arguments_are_refused(self):
+        # a float digit or length is refused, not carried into the count
+        with pytest.raises(TypeError):
+            count_one_digit_numbers(1, 2.5)
+        with pytest.raises(TypeError):
+            count_one_digit_numbers(1.0, 3)
+
 
 class TestDistinctDigitCount:
     def test_count_below_9876543211(self):
@@ -452,3 +459,12 @@ class TestClosedFormsBase2:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             closed_form_base2("no-nine", 10)
+
+    @pytest.mark.parametrize("kind", ["no-zero", "single-zero", "single-one"])
+    def test_decimals_must_be_a_nonnegative_integer(self, kind):
+        for decimals in (2.5, 20.0):
+            with pytest.raises(TypeError):
+                closed_form_base2(kind, decimals)
+        with pytest.raises(ValueError, match="decimals must be >= 0"):
+            closed_form_base2(kind, -3)
+        assert closed_form_base2(kind, 0) == round(closed_form_base2(kind, 10))

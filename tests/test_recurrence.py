@@ -469,7 +469,7 @@ class TestShrinkActivePowers:
         # walk's totals equal, as integers, those of one that never drops
         c = ConditionSet.of(digits, counts, base=base)
         plan = build_plan(c, 15)
-        levels = partial_sum(c, digit_limit, 15, plan=plan).levels
+        levels = partial_sum(c, digit_limit, 15).levels
         want = walk_totals(c, digit_limit, plan)
         walked = len(levels)
         assert [(i, total) for i, (total, _) in enumerate(levels, 1)] == want[:walked]
