@@ -236,6 +236,10 @@ class PrecisionPlan:
     scale: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        # refuses a float instead of carrying it into the integer rounding
+        for name in ("requested_decimals", "working_decimals", "max_power",
+                     "direct_sum_digits"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.requested_decimals < MIN_REQUESTED_DECIMALS:
             raise ValueError(f"requested_decimals must be >= {MIN_REQUESTED_DECIMALS}")
         if self.working_decimals < self.requested_decimals + 2:

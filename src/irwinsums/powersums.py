@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import gt
+from functools import lru_cache
+from itertools import count, repeat
+from operator import add, gt
+from typing import Sequence
 
 from .model import ConditionSet, PrecisionPlan, RangeTooLarge
 
@@ -23,14 +26,52 @@ DIRECT_ENUM_LIMIT = 10 ** 8
 class PowerSumTable:
     """Reciprocal power sums for one digit length, all occurrence vectors.
 
-    ``rows[j - 1][slot]`` is the fixed-point mantissa (at the plan's scale) of
-    the power-``j`` sum over ``digit_length``-digit denominators for the
-    occurrence vector with flat index ``slot``; ``len(rows)`` is the number of
-    powers held.  Tables are treated as immutable once returned.
+    ``rows[j - 1]`` holds, for each slot of :func:`row_slots` in that order,
+    the fixed-point mantissa (at the plan's scale) of the power-``j`` sum over
+    ``digit_length``-digit denominators for the occurrence vector with that
+    flat index; ``len(rows)`` is the number of powers held.  A finite series'
+    rows are its layer |k| = ``digit_length``, the only cells an integer of
+    that length can reach; an infinite series' rows cover every slot.  Tables
+    are treated as immutable once returned.
     """
 
     digit_length: int
     rows: list[list[int]]
+
+
+@lru_cache(maxsize=32)
+def _grades(conditions: ConditionSet) -> tuple[Sequence[int], Sequence[int]]:
+    """``order``, every slot by grade |k|, and ``starts``: grade w is
+    ``order[starts[w]:starts[w + 1]]``, in ascending slot order.  ``order`` is
+    a view at its exact size (``extend`` over-allocates), and its slices copy
+    nothing.
+
+    Built one condition at a time: condition c is more significant than every
+    earlier one, so the slots of grade w with count k of c are the earlier
+    slots of grade w - k, each raised by k * stride_c."""
+    from array import array  # only a kernel step or a finite series loads it
+    order, starts = array("l", [0]), array("l", [0, 1])
+    for n, stride in zip(conditions.counts, conditions.strides):
+        top = len(starts) - 2
+        grown, starts_grown = array("l"), array("l", [0])
+        for w in range(top + n + 1):
+            for k in range(max(0, w - top), min(n, w) + 1):
+                layer = order[starts[w - k] : starts[w - k + 1]]
+                grown.extend(map(add, layer, repeat(k * stride)) if k else layer)
+            starts_grown.append(len(grown))
+        order, starts = grown, starts_grown
+    return memoryview(array("l", order)), starts
+
+
+def row_slots(conditions: ConditionSet, digit_length: int) -> Sequence[int]:
+    """The slots a table's rows hold at ``digit_length``, in row order: the
+    layer |k| = ``digit_length`` of a finite series (empty past its longest
+    denominator), or every slot of an infinite one."""
+    if not conditions.is_finite_series():
+        return range(conditions.cell_count)
+    order, starts = _grades(conditions)
+    last = len(starts) - 1
+    return order[starts[min(digit_length, last)] : starts[min(digit_length + 1, last)]]
 
 
 def _check_enumerable(base: int, digit_length: int) -> None:
@@ -63,7 +104,9 @@ def direct_sum(
 
     One pass over each integer's digits counts its constrained digits and
     builds its slot, ``sum(k_c * stride_c)``; integers whose counts stay within
-    the bounds contribute 1/x**j to that cell, the rest nothing.
+    the bounds contribute 1/x**j to that cell, the rest nothing.  The rows are
+    :func:`row_slots`'s: a finite series' i-digit integers within the bounds
+    have exactly i constrained digits, so only its layer is allocated.
 
     Each term is ``div_nearest(scale, x**j)`` without forming x**j: since
     floor(floor(a/b)/c) = floor(a/(b*c)), q_j = floor(2*scale/x**j) is
@@ -86,7 +129,9 @@ def direct_sum(
         slot_of_digit[d] = pos
 
     twice_scale = 2 * plan.scale
-    rows = [[0] * conditions.cell_count for _ in range(max_power)]
+    slots = row_slots(conditions, digit_length)
+    position = dict(zip(slots, count())) if conditions.is_finite_series() else None
+    rows = [[0] * len(slots) for _ in range(max_power)]
 
     start = base ** (digit_length - 1)
     stop = base ** digit_length
@@ -102,6 +147,8 @@ def direct_sum(
                 slot += strides[pos]
         if any(map(gt, found, counts)):
             continue
+        if position is not None:
+            slot = position[slot]
 
         q = twice_scale
         if twice_scale % x:

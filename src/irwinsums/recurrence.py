@@ -33,7 +33,8 @@ neighbours, over base) that ``_power1_step`` applies to the whole row at
 once.
 
 A finite series constrains every digit, so its table at length i is nonzero
-only on the layer |k| = i, and its step multiplies nothing per neighbour:
+only on the layer |k| = i, which is all its rows hold, and its step
+multiplies nothing per neighbour:
 scaled by base**(top - p), a cell's powers p = 1..top are the coefficients of
 a polynomial, and the expansion through digit d is that polynomial's Taylor
 shift by -d.  ``_taylor_numerators`` walks the digits upward and shifts the
@@ -46,7 +47,7 @@ The stencil computes the others too, as 0.
 The neighbour with count c decremented lies ``stride_c`` below a cell, so the
 slot layout keeps one ``(c, stride_c)`` pattern per support set, at most 2**m,
 and grows the layout one condition at a time instead of decoding each slot.
-A step reads its reach, a prefix or two slices, without a scan from
+A step reads its reach, a prefix or two layers, without a scan from
 ``_grades``: every slot in one array ordered by |k|, and where each |k| starts.
 """
 
@@ -59,7 +60,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .fixedpoint import div_nearest, div_toward_zero
 from .model import ConditionSet
-from .powersums import PowerSumTable, digit_power_sum
+from .powersums import PowerSumTable, _grades, digit_power_sum, row_slots
 
 
 @lru_cache(maxsize=32)
@@ -77,29 +78,6 @@ def _slot_layout(conditions: ConditionSet) -> tuple[tuple, ...]:
         ext = [shared.setdefault(p, p + ((c, stride),)) for p in patterns]
         patterns += ext * n
     return tuple(patterns)
-
-
-@lru_cache(maxsize=32)
-def _grades(conditions: ConditionSet) -> tuple[Sequence[int], Sequence[int]]:
-    """``order``, every slot by grade |k|, and ``starts``: grade w is
-    ``order[starts[w]:starts[w + 1]]``.  ``order`` is a view at its exact size
-    (``extend`` over-allocates), and its slices copy nothing.
-
-    Built one condition at a time, as ``_slot_layout`` is: the slots of grade
-    w with count k of condition c are the earlier slots of grade w - k, each
-    raised by k * stride_c."""
-    from array import array  # only a kernel or finite step loads it
-    order, starts = array("l", [0]), array("l", [0, 1])
-    for n, stride in zip(conditions.counts, conditions.strides):
-        top = len(starts) - 2
-        grown, starts_grown = array("l"), array("l", [0])
-        for w in range(top + n + 1):
-            for k in range(max(0, w - top), min(n, w) + 1):
-                layer = order[starts[w - k] : starts[w - k + 1]]
-                grown.extend(map(add, layer, repeat(k * stride)) if k else layer)
-            starts_grown.append(len(grown))
-        order, starts = grown, starts_grown
-    return memoryview(array("l", order)), starts
 
 
 def expansion_terms(
@@ -206,7 +184,8 @@ def _taylor_numerators(
     targets: Sequence[int], top: int,
 ) -> list[list[int]]:
     """Per power j = 1..top, the numerators of a finite series' step at each
-    target slot, over the divisor base**top.
+    target slot, over the divisor base**top; ``rows`` hold the source layer,
+    in the order of ``sources``.
 
     With u_p = base**(top - p) * v_p on the sources, the kernel's numerator
     for power j, read from a neighbour through digit d, is
@@ -222,10 +201,10 @@ def _taylor_numerators(
         return []
     base = conditions.base
     # u[p - 1] on the sources, then one 0 for the reads of a missing neighbour
-    u = []
-    for p in range(1, top + 1):
-        row, scale = rows[p - 1], base ** (top - p)
-        u.append([scale * row[slot] for slot in sources] + [0])
+    u = [
+        [*map(mul, rows[p - 1], repeat(base ** (top - p))), 0]
+        for p in range(1, top + 1)
+    ]
     where = dict(zip(sources, count()))
     blank = len(sources)
     strides = {
@@ -264,23 +243,25 @@ def advance(
 
     Only slots with |k| <= i + 1 are computed, and for a finite series only
     those with |k| = i + 1 (no unconstrained digit, so a cell never reads
-    itself); every other slot would read exact zeros.  Returns the new table
-    (powers 1..j_active) and ``live``, the highest power whose row is not all
-    0 (0 when none is).  Rows j..J read only rows j..J, so the rows above
-    ``live`` stay exactly 0 at every later digit length; for the same reason
-    the step's coefficients and divisor ``base**top`` belong to its input's
-    top nonzero power ``top``, and rows above it stay 0.  Sizing the step by
-    ``j_active`` would scale every numerator and the divisor by
-    ``base**(j_active - top)``, which changes no quotient.
+    itself), the layer its rows hold; every other slot would read exact
+    zeros.  Returns the new table (powers 1..j_active) and ``live``, the
+    highest power whose row is not all 0 (0 when none is).  Rows j..J read
+    only rows j..J, so the rows above ``live`` stay exactly 0 at every later
+    digit length; for the same reason the step's coefficients and divisor
+    ``base**top`` belong to its input's top nonzero power ``top``, and rows
+    above it stay 0.  Sizing the step by ``j_active`` would scale every
+    numerator and the divisor by ``base**(j_active - top)``, which changes no
+    quotient.
 
     At top 1 an infinite series steps by ``_power1_step``, over the whole
     row: the expansion then has only its n = 0 term, with coefficient
     u = base - m on the cell itself and d**0 = 1 on each neighbour, over the
     divisor ``base``, and a cell past |k| = i + 1 reads only zeros, so every
     integer equals the kernel's.  A finite series steps by
-    ``_taylor_numerators`` at every top: its tables are nonzero only on the
-    layer |k| = i, so it reads that layer and the next from ``_grades`` and
-    writes the next layer's quotients, truncated as the kernel's are.
+    ``_taylor_numerators`` at every top: its rows are the layer |k| = i
+    (:func:`~irwinsums.powersums.row_slots`), and the new rows are the next
+    layer's quotients, truncated as the kernel's are; the rows above ``top``
+    are one shared row of zeros.  Rows of another length raise ``ValueError``.
     """
     if len(table.rows) < j_active:
         raise ValueError(
@@ -289,17 +270,19 @@ def advance(
     length = table.digit_length + 1
     top = _top(table.rows, j_active)
     if conditions.is_finite_series():
-        order, starts = _grades(conditions)
-        last = len(starts) - 1
-        low, mid, high = (starts[min(w, last)] for w in range(length - 1, length + 2))
-        sources, targets = order[low:mid], order[mid:high]
+        sources = row_slots(conditions, length - 1)
+        targets = row_slots(conditions, length)
+        if any(len(row) != len(sources) for row in table.rows[:j_active]):
+            raise ValueError(f"a finite table's rows hold its {len(sources)}-cell layer")
         nums = _taylor_numerators(table.rows, conditions, sources, targets, top)
         divisor = conditions.base ** top
-        new_rows = [[0] * conditions.cell_count for _ in range(j_active)]
-        for row, num in zip(new_rows, nums):
-            for slot, s in zip(targets, num):
-                row[slot] = s // divisor if s >= 0 else -(-s // divisor)
-        return PowerSumTable(length, new_rows), _top(new_rows, top)
+        new_rows = [
+            [s // divisor if s >= 0 else -(-s // divisor) for s in num] for num in nums
+        ]
+        live = _top(new_rows, len(new_rows))
+        # the rows above the input's top stay 0: one shared row of the layer
+        new_rows += [[0] * len(targets)] * (j_active - len(new_rows))
+        return PowerSumTable(length, new_rows), live
     if top == 1:
         row = _power1_step(table.rows[0], conditions)
         rest = [[0] * len(row) for _ in range(j_active - 1)]

@@ -33,7 +33,7 @@ from .model import (
     clamp_decimals,
     direct_sum_digit_count,
 )
-from .powersums import PowerSumTable, direct_sum, estimate_max_power
+from .powersums import PowerSumTable, direct_sum, estimate_max_power, row_slots
 from .recurrence import advance, solve_tail
 
 
@@ -117,17 +117,18 @@ def _walk(
     recurrence, dropping the top powers whose rows read exactly 0 down to
     2 powers (:func:`build_plan`'s plans start from at least 3).
     ``sums`` is one list, updated in place: per cell, the sum of every block
-    through ``digit_length``.  Only a block's nonzero cells are added; a
-    finite series' block at length i is nonzero only where |k| = i, and the
-    series stops at its longest denominator.  After the seed, the walk ends
-    at its first all-zero table, which steps only to all-zero tables, so no
-    later length moves a sum or ``j_active``.  Every walk decays to one: the
-    top nonzero row steps with divisor ``base**top`` and no higher terms,
-    reading each cell with total weight at most ``base``, so from power 2 up
-    its sum of magnitudes falls ``base``-fold a length; with power 1 alone a
-    cell steps to ``trunc(((base - m) * v + lower neighbours) / base)``,
-    m >= 1 constrained digits, so by induction over slot order every cell
-    gets to 0.
+    through ``digit_length``.  A finite series' block at length i holds only
+    its layer |k| = i (:func:`~irwinsums.powersums.row_slots`), added through
+    the layer's slots, and the series stops at its longest denominator; an
+    infinite series' block holds every slot, and only its nonzero cells are
+    added.  After the seed, the walk ends at its first all-zero table, which
+    steps only to all-zero tables, so no later length moves a sum or
+    ``j_active``.  Every walk decays to one: the top nonzero row steps with
+    divisor ``base**top`` and no higher terms, reading each cell with total
+    weight at most ``base``, so from power 2 up its sum of magnitudes falls
+    ``base``-fold a length; with power 1 alone a cell steps to
+    ``trunc(((base - m) * v + lower neighbours) / base)``, m >= 1 constrained
+    digits, so by induction over slot order every cell gets to 0.
     """
     finite = conditions.is_finite_series()
     lengths = range(1, conditions.finite_digit_limit() + 1) if finite else count(1)
@@ -142,8 +143,12 @@ def _walk(
             table, live = advance(table, conditions, j_active)
             j_active = max(live, 2)
         block = table.rows[0]
-        for slot in compress(range(len(block)), block):
-            sums[slot] += block[slot]
+        if finite:
+            for slot, v in zip(row_slots(conditions, i), block):
+                sums[slot] += v
+        else:
+            for slot in compress(range(len(block)), block):
+                sums[slot] += block[slot]
         yield i, table, j_active, sums
         if not live:
             return

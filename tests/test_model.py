@@ -216,6 +216,15 @@ class TestPrecisionPlan:
             clamp_decimals(15.9)
         assert clamp_decimals(True) == 5
 
+    @pytest.mark.parametrize(
+        "field",
+        ["requested_decimals", "working_decimals", "max_power", "direct_sum_digits"],
+    )
+    def test_float_fields_are_refused(self, field):
+        # a float scale would reach direct_sum's integer rounding
+        with pytest.raises(TypeError):
+            self.plan(**{field: float(getattr(self.plan(), field))})
+
     def test_seed_length_floor(self):
         with pytest.raises(ValueError, match="direct_sum_digits"):
             self.plan(direct_sum_digits=0)

@@ -21,7 +21,7 @@ from irwinsums.fixedpoint import (
 from irwinsums.model import ConditionSet, occurrence_index, occurrence_vector
 from irwinsums.powersums import PowerSumTable, digit_power_sum
 from irwinsums.recurrence import advance
-from conftest import expansion_coefficient
+from conftest import expansion_coefficient, layer
 from test_recurrence import full_term_step
 
 
@@ -122,11 +122,12 @@ def finite_sets(draw, max_cells=3000):
 )
 @settings(max_examples=150, deadline=None)
 def test_finite_step_equals_full_term_step(conditions, digit_length, j_active, data, rng):
-    # values of either sign in every cell of the rows up to `top`, also off
-    # the layer |k| = digit_length, which neither step reads; negative
-    # numerators truncate toward zero
+    # values of either sign on the source layer |k| = digit_length, the only
+    # cells a finite table holds, in the rows up to `top`; negative numerators
+    # truncate toward zero.  The reference steps every slot and keeps the
+    # target layer.
     top = data.draw(st.integers(min_value=0, max_value=j_active))
-    cells = conditions.cell_count
+    cells = len(layer(conditions, digit_length))
     rows = [[rng.randint(-10 ** 30, 10 ** 30) for _ in range(cells)] for _ in range(top)]
     table = PowerSumTable(digit_length, rows + [[0] * cells] * (j_active - top))
     got, live = advance(table, conditions, j_active)

@@ -23,7 +23,7 @@ from irwinsums.oracle import block_cell_sums
 from irwinsums.powersums import PowerSumTable, digit_power_sum, direct_sum
 from irwinsums.recurrence import advance, expansion_terms, solve_tail
 from irwinsums.summation import build_plan, partial_sum
-from conftest import expansion_coefficient
+from conftest import expansion_coefficient, full_rows, layer, stored
 
 
 class TestExpansionCoefficient:
@@ -124,6 +124,14 @@ class TestAdvance:
         table, live = advance(empty, c, 4)
         assert all(v == 0 for row in table.rows for v in row)
         assert live == 0
+
+    def test_finite_table_must_hold_its_layer(self):
+        # rows over every slot would be read as the layer, position by
+        # position, and step to wrong integers
+        c = ConditionSet.of(list(range(10)), [1] * 10)
+        full = PowerSumTable(3, [[1] * c.cell_count for _ in range(4)])
+        with pytest.raises(ValueError, match="120-cell layer"):
+            advance(full, c, 4)
 
     @pytest.mark.parametrize(
         "digits,counts,base",
@@ -243,15 +251,15 @@ class TestActiveSet:
         # stepping only the slots with |k| <= i + 1 (|k| = i + 1 for a finite
         # series) gives the same integers as stepping every slot
         c = ConditionSet.of(digits, counts, base=base)
-        reached = step_tables(c, last)
+        reached = [full_rows(t, c) for t in step_tables(c, last)]
         # every slot in grade 0: each kernel step's reach is the whole table
         cells = c.cell_count
         every_slot = (array("l", range(cells)), (0,) + (cells,) * (sum(counts) + 1))
         monkeypatch.setattr(recurrence, "_grades", lambda _: every_slot)
         monkeypatch.setattr(ConditionSet, "is_finite_series", lambda self: False)
         every = step_tables(c, last)
-        assert [t.rows for t in reached] == [t.rows for t in every]
-        assert [t.digit_length for t in reached] == list(range(1, last + 1))
+        assert reached == [t.rows for t in every]
+        assert [t.digit_length for t in every] == list(range(1, last + 1))
 
 
 class TestSlotLayout:
@@ -304,13 +312,15 @@ class TestSlotLayout:
         assert starts[0] == 0 and starts[-1] == c.cell_count
         assert list(starts) == sorted(starts)
         for w in range(sum(counts) + 1):
-            grade = order[starts[w] : starts[w + 1]]
-            assert {sum(occurrence_vector(slot, c)) for slot in grade} <= {w}
+            # ascending: the order of a finite series' rows at length w
+            assert list(order[starts[w] : starts[w + 1]]) == layer(c, w)
 
 
 def full_term_step(table, conditions, j_active):
     """``advance`` with every row and every expansion term of every slot
-    evaluated: the reference for the terms it skips."""
+    evaluated: the reference for the terms it skips.  Tables go in and come
+    out as the engine stores them; a finite series' rows are its layer."""
+    sources = full_rows(table, conditions)
     neighbors = recurrence._slot_layout(conditions)
     length = table.digit_length + 1
     low = length if conditions.is_finite_series() else 0
@@ -320,12 +330,12 @@ def full_term_step(table, conditions, j_active):
     rows = [[0] * len(cells) for _ in range(j_active)]
     for j, coeffs in expansion_terms(conditions, j_active):
         recurrence._fill_row(
-            rows[j - 1], rows[j - 1], table.rows[j - 1 :], coeffs, neighbors,
+            rows[j - 1], rows[j - 1], sources[j - 1 :], coeffs, neighbors,
             targets, repeat(range(len(coeffs))), conditions.base ** j_active,
             div_toward_zero,
         )
     live = max((j for j, row in enumerate(rows, 1) if any(row)), default=0)
-    return PowerSumTable(length, rows), live
+    return stored(PowerSumTable(length, rows), conditions), live
 
 
 def full_term_solve(seed, conditions):
@@ -388,7 +398,7 @@ class TestSkippedTermsAreExactZeros:
         c = ConditionSet.of(digits, counts, base=base)
         plan = build_plan(c, 15)
         seeded = direct_sum(c, 3, plan.max_power, plan)
-        zero = [0] * c.cell_count
+        zero = [0] * len(seeded.rows[0])
         for top in (0, 1, 2, plan.max_power // 2, plan.max_power):
             table = want = PowerSumTable(
                 3, seeded.rows[:top] + [zero] * (plan.max_power - top)
@@ -416,7 +426,7 @@ class TestSkippedTermsAreExactZeros:
         c = ConditionSet.of(digits, counts, base=base)
         plan = build_plan(c, 15)
         seeded = direct_sum(c, 2, plan.max_power, plan)
-        zero = [0] * c.cell_count
+        zero = [0] * len(seeded.rows[0])
         table = PowerSumTable(2, seeded.rows[:1] + [zero] * (plan.max_power - 1))
         want, want_live = full_term_step(table, c, plan.max_power)
         calls = []
@@ -443,7 +453,7 @@ def walk_totals(conditions, digit_limit, plan):
             table = direct_sum(conditions, i, plan.max_power if seeds else 1, plan)
         else:
             table, _ = full_term_step(table, conditions, plan.max_power)
-        total += table.rows[0][target]
+        total += full_rows(table, conditions)[0][target]
         totals.append((i, total))
     return totals
 

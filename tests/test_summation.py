@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -14,6 +15,7 @@ from irwinsums.model import (
     InsufficientAccuracy,
     RangeTooLarge,
     ThresholdAboveTotal,
+    occurrence_vector,
 )
 from irwinsums.summation import (
     Termination,
@@ -256,6 +258,23 @@ class TestPartialSum:
         assert len(r.levels) == 37
         assert r.digits_processed == 10 ** 5
         assert r.requested_sum == Decimal("0.002362347838619")
+
+    @pytest.mark.parametrize(
+        "digits,counts,base,decimals",
+        [(list(range(10)), [2] * 10, 10, 24), ([0, 1, 2], [20, 20, 20], 3, 15)],
+    )
+    def test_finite_tables_hold_only_their_layer(self, digits, counts, base, decimals):
+        # a finite table at length i is nonzero only where |k| = i: every
+        # power's row holds that layer's cells, not all cell_count slots
+        c = ConditionSet.of(digits, counts, base=base)
+        sizes = Counter(
+            sum(occurrence_vector(slot, c)) for slot in range(c.cell_count)
+        )
+        lengths = []
+        for i, table, _, _ in summation._walk(c, build_plan(c, decimals)):
+            assert [len(row) for row in table.rows] == [sizes[i]] * len(table.rows)
+            lengths.append(i)
+        assert lengths == list(range(1, sum(counts) + 1))
 
     def test_digit_limit_above_maxsize(self):
         # the walk ends by itself at length 495, so a limit past sys.maxsize
