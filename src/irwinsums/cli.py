@@ -40,7 +40,6 @@ from .model import (
 from .summation import (
     SumResult,
     Termination,
-    build_plan,
     irwin_sum,
     partial_sum,
     threshold_search,
@@ -82,8 +81,8 @@ def _add_common(parser: argparse.ArgumentParser, *, decimals_default: int = 15) 
     )
     parser.add_argument(
         "--verbose", "-v", type=int, default=1, choices=range(0, 5),
-        help="0 bare value, 1 standard report, 2 plan info, 3 per-digit-length "
-             "progress, 4 progress with active powers (diagnostics on stderr)",
+        help="sum and partial: 0 bare value, 1 report, 2 plan info, 3 per-length progress, "
+             "4 with active powers (stderr); threshold, table and oracle ignore it",
     )
     parser.add_argument("--output", help="also write the JSON report to this file")
 
@@ -175,17 +174,17 @@ def _print(stream: TextIO, text: str) -> None:
 
 def _run_engine(args: argparse.Namespace, digit_limit: Optional[int] = None) -> SumResult:
     conditions = _conditions(args)
-    plan = build_plan(conditions, args.decimals)
+    if digit_limit is None:
+        result = irwin_sum(conditions, args.decimals)
+    else:
+        result = partial_sum(conditions, digit_limit, args.decimals)
+    plan = result.plan
     if args.verbose >= 2:
         _print(
             sys.stderr,
             f"decimals = {plan.requested_decimals}, working = {plan.working_decimals}, "
             f"max power = {plan.max_power}, direct digits = {plan.direct_sum_digits}"
         )
-    if digit_limit is None:
-        result = irwin_sum(conditions, args.decimals)
-    else:
-        result = partial_sum(conditions, digit_limit, args.decimals)
     if args.verbose >= 3:
         # lengths past the walk's end repeat its last level with a zero block
         show, working = min(10, plan.requested_decimals), plan.working_decimals

@@ -89,9 +89,7 @@ def digit_power_sum(base: int, n: int, conditions: ConditionSet) -> int:
     ``base - len(conditions)``.
     """
     constrained = set(conditions.digits)
-    if n == 0:
-        return base - len(constrained)
-    return sum(d ** n for d in range(1, base) if d not in constrained)
+    return sum(d ** n for d in range(base) if d not in constrained)
 
 
 def direct_sum(

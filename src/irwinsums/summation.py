@@ -56,8 +56,9 @@ class SumResult:
     ``per_cell_sums`` carries the exact-count sum of every occurrence vector
     in mixed-radix slot order, whatever the number of conditions.
     ``levels[i - 1]`` is ``(total, active_powers)`` for digit length i, the
-    requested cell's running sum as a mantissa at the plan's working scale.
+    requested cell's running sum as a mantissa at ``plan.working_decimals``.
     Lengths after the walk's end, up to ``digits_processed``, repeat the last.
+    ``plan`` is the :class:`PrecisionPlan` the run was computed under.
     """
 
     conditions: ConditionSet
@@ -69,6 +70,7 @@ class SumResult:
     digits_processed: int
     termination: Termination
     levels: tuple[tuple[int, int], ...]
+    plan: PrecisionPlan
 
 
 @dataclass(frozen=True)
@@ -206,6 +208,7 @@ def _compute(
         digits_processed=last,
         termination=termination,
         levels=tuple(levels),
+        plan=plan,
     )
 
 

@@ -117,6 +117,38 @@ class TestSumCommand:
             "decimals = 15, working = 23, max power = 11, direct digits = 3"
         ]
 
+    def test_run_plans_once(self, capsys, monkeypatch):
+        # the -v 2 line and the -v 3 scale read the plan the run carries
+        calls = []
+        original = summation.build_plan
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("irwinsums")
+                    and getattr(module, "build_plan", None) is original):
+                monkeypatch.setattr(module, "build_plan", counting)
+        code, _, err = run(capsys, "sum", "--digits", "9", "--counts", "1", "-v", "3")
+        assert code == 0
+        assert len(calls) == 1
+        assert err.splitlines()[0] == (
+            "decimals = 15, working = 23, max power = 11, direct digits = 3"
+        )
+
+    def test_refused_table_prints_no_plan(self, capsys):
+        # the budget refuses the run before it has a result, so there is no plan
+        code, out, err = run(
+            capsys, "sum", "--digits", "1,2,3,4,5,6,7,8", "--counts", "6,6,6,6,6,6,6,6",
+            "-v", "2",
+        )
+        assert code == 5
+        assert out == ""
+        assert err.splitlines() == [
+            "error: 5764801 cells x 11 powers exceed the table budget of 4000000"
+        ]
+
     def test_oversized_table_exits_5(self, capsys, monkeypatch):
         # the budget is checked before any table is allocated
         monkeypatch.setattr(summation, "TABLE_CELL_LIMIT", 10)

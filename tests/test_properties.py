@@ -1,5 +1,5 @@
 """Property-based checks for the model, coefficients, the power-1, kernel and
-finite steps, and formatting."""
+finite steps, the engine against the oracle's exact sums, and formatting."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import math
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irwinsums.fixedpoint import (
@@ -19,8 +19,10 @@ from irwinsums.fixedpoint import (
     parse_exact_decimal,
 )
 from irwinsums.model import ConditionSet, occurrence_index, occurrence_vector
+from irwinsums.oracle import block_cell_sums, brute_force_fraction
 from irwinsums.powersums import PowerSumTable, digit_power_sum
 from irwinsums.recurrence import advance
+from irwinsums.summation import irwin_sum, partial_sum
 from conftest import expansion_coefficient, layer
 from test_recurrence import full_term_step
 
@@ -135,6 +137,86 @@ def test_finite_step_equals_full_term_step(conditions, digit_length, j_active, d
     assert got.rows == want.rows
     assert live == want_live
     assert got.digit_length == digit_length + 1
+
+
+# Integers the oracle enumerates per example: base**L at most.
+ORACLE_INTEGERS = 2 * 10 ** 5
+
+
+def assert_within_half_unit(value: Decimal, exact: Fraction, decimals: int) -> None:
+    """``value``, printed to ``decimals`` places, lies within half a unit of
+    its last place of ``exact``, plus 10**-(decimals + 5): room for the
+    rounding of ``block_cell_sums``, far below the half unit."""
+    slack = Fraction(1, 2 * 10 ** decimals) + Fraction(1, 10 ** (decimals + 5))
+    assert abs(Fraction(value) - exact) <= slack, (value, float(exact))
+
+
+def assert_cells_match_oracle(result, conditions, digit_limit: int) -> None:
+    """Every per-cell sum against the oracle's blocks of 1..digit_limit digits,
+    each rounded per integer 10 places below the result's last."""
+    cells = [Fraction(0)] * conditions.cell_count
+    for length in range(1, digit_limit + 1):
+        block = block_cell_sums(conditions, length, result.decimals + 10)
+        cells = [total + v for total, v in zip(cells, block)]
+    assert len(cells) == len(result.per_cell_sums)
+    for got, want in zip(result.per_cell_sums, cells):
+        assert_within_half_unit(got, want, result.decimals)
+
+
+@st.composite
+def oracle_cases(draw):
+    """Base 2..10, 1..3 distinct digits with counts 0..3, and a digit limit L
+    with base**L <= ORACLE_INTEGERS."""
+    base = draw(st.integers(min_value=2, max_value=10))
+    m = draw(st.integers(min_value=1, max_value=min(3, base)))
+    digits = draw(
+        st.lists(st.integers(min_value=0, max_value=base - 1), min_size=m, max_size=m,
+                 unique=True)
+    )
+    counts = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=m, max_size=m))
+    top = max(L for L in range(1, 18) if base ** L <= ORACLE_INTEGERS)
+    digit_limit = draw(st.integers(min_value=1, max_value=top))
+    return ConditionSet.of(digits, counts, base=base), digit_limit
+
+
+@given(oracle_cases(), st.sampled_from((15, 20, 30)))
+@settings(max_examples=25, deadline=None)
+def test_partial_sums_match_the_oracle(case, decimals):
+    conditions, digit_limit = case
+    result = partial_sum(conditions, digit_limit, decimals)
+    limit = conditions.base ** digit_limit
+    exact = brute_force_fraction(conditions, limit)
+    assert_within_half_unit(result.requested_sum, exact, decimals)
+    at_most = brute_force_fraction(conditions, limit, mode="at-most")
+    assert_within_half_unit(result.at_most_sum, at_most, decimals)
+    if conditions.num_conditions > 1:
+        assert_cells_match_oracle(result, conditions, digit_limit)
+
+
+@given(
+    st.sampled_from((2, 3)).flatmap(lambda base: st.tuples(
+        st.permutations(range(base)),
+        st.lists(st.integers(min_value=0, max_value=3), min_size=base, max_size=base),
+    )),
+    st.sampled_from((15, 20, 30)),
+)
+@example(([2, 0, 1], [3, 3, 3]), 30)
+@example(([1, 2, 0], [3, 2, 3]), 15)
+@settings(max_examples=15, deadline=None)
+def test_finite_sums_match_the_oracle(case, decimals):
+    # with at most 3 conditions, a finite series has base 2 or 3 and every
+    # digit constrained; its longest denominators have sum(counts) digits.
+    # Only base-3 sets with sum(counts) > 7 step past their 7-digit seed,
+    # so two of them always run.
+    digits, counts = case
+    conditions = ConditionSet.of(digits, counts, base=len(digits))
+    result = irwin_sum(conditions, decimals)
+    limit = conditions.base ** conditions.finite_digit_limit()
+    exact = brute_force_fraction(conditions, limit)
+    assert_within_half_unit(result.requested_sum, exact, decimals)
+    at_most = brute_force_fraction(conditions, limit, mode="at-most")
+    assert_within_half_unit(result.at_most_sum, at_most, decimals)
+    assert_cells_match_oracle(result, conditions, conditions.finite_digit_limit())
 
 
 @given(condition_sets())

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import irwinsums.summation as summation
+from irwinsums.fixedpoint import fixed_to_decimal
 from irwinsums.model import (
     ConditionSet,
     InsufficientAccuracy,
@@ -154,6 +155,30 @@ class TestIrwinSum:
         # the requested decimals are clamped to the minimum before planning
         assert irwin_sum(c, 3) == irwin_sum(c, 5)
         assert partial_sum(c, 5, 3) == partial_sum(c, 5, 5)
+
+    @pytest.mark.parametrize(
+        "digits,counts,digit_limit,decimals,levels",
+        [
+            ([9], [0], None, 20, 3),
+            ([9], [1], 30, 20, 30),
+            # past the walk's end: no-9 walks 495 lengths
+            ([9], [0], 1000, 15, 495),
+            (list(range(10)), [1] * 10, None, 23, 10),
+        ],
+    )
+    def test_result_carries_its_plan(self, digits, counts, digit_limit, decimals, levels):
+        c = ConditionSet.of(digits, counts)
+        if digit_limit is None:
+            r = irwin_sum(c, decimals)
+        else:
+            r = partial_sum(c, digit_limit, decimals)
+        assert r.plan == build_plan(c, decimals)
+        assert len(r.levels) == levels
+
+    def test_levels_read_at_the_plans_scale(self):
+        r = partial_sum(ConditionSet.of([9], [1]), 30, 20)
+        last = fixed_to_decimal(r.levels[-1][0], r.plan.working_decimals, 20)
+        assert last == r.requested_sum == Decimal("18.90465064954486922500")
 
     def test_decimals_above_cap_are_refused(self):
         c = ConditionSet.of([9], [0])
