@@ -195,7 +195,8 @@ def _run_engine(args: argparse.Namespace, digit_limit: Optional[int] = None) -> 
             total_s = format_plain(fixed_to_decimal(total, working, show))
             line = f"partial sum for {length} digits = {block_s}, total = {total_s}"
             if args.verbose >= 4:
-                line += f", active powers = {active}"
+                # at least 2: console pins hold these lines byte for byte
+                line += f", active powers = {max(active, 2)}"
             _print(sys.stderr, line)
             previous = total
     return result

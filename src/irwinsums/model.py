@@ -215,9 +215,8 @@ def direct_sum_digit_count(base: int) -> int:
 
 
 MIN_REQUESTED_DECIMALS = 5
-# Past this the seed's power count and its integers grow until a run takes
-# minutes (no-9 through the CLI on 2 vCPUs: about 0.3 s at 500 decimals and
-# 1.1 s at 1000).
+# A plan's power count and the width of its integers both grow with the
+# decimals, so a run's cost grows much faster than its decimals do.
 MAX_REQUESTED_DECIMALS = 1000
 
 

@@ -197,8 +197,8 @@ def _taylor_numerators(
     at its neighbour ``slot - stride_c``.  These are the kernel's integers,
     regrouped.
     """
-    if not (top and targets):
-        return []
+    if not targets:
+        return [[] for _ in range(top)]
     base = conditions.base
     # u[p - 1] on the sources, then one 0 for the reads of a missing neighbour
     u = [
@@ -244,14 +244,13 @@ def advance(
     Only slots with |k| <= i + 1 are computed, and for a finite series only
     those with |k| = i + 1 (no unconstrained digit, so a cell never reads
     itself), the layer its rows hold; every other slot would read exact
-    zeros.  Returns the new table (powers 1..j_active) and ``live``, the
-    highest power whose row is not all 0 (0 when none is).  Rows j..J read
-    only rows j..J, so the rows above ``live`` stay exactly 0 at every later
-    digit length; for the same reason the step's coefficients and divisor
-    ``base**top`` belong to its input's top nonzero power ``top``, and rows
-    above it stay 0.  Sizing the step by ``j_active`` would scale every
-    numerator and the divisor by ``base**(j_active - top)``, which changes no
-    quotient.
+    zeros.  ``j_active`` bounds the powers read: rows past it, or past the
+    table's end, read as 0.  The step's coefficients and divisor
+    ``base**top`` belong to the top nonzero power ``top`` among them, and the
+    new table holds powers 1..top, at least power 1.  Returns it and
+    ``live``, its highest power whose row is not all 0 (0 when none is).
+    Rows j..J read only rows j..J, so the rows above ``live`` stay exactly 0
+    at every later digit length.
 
     At top 1 an infinite series steps by ``_power1_step``, over the whole
     row: the expansion then has only its n = 0 term, with coefficient
@@ -260,44 +259,34 @@ def advance(
     integer equals the kernel's.  A finite series steps by
     ``_taylor_numerators`` at every top: its rows are the layer |k| = i
     (:func:`~irwinsums.powersums.row_slots`), and the new rows are the next
-    layer's quotients, truncated as the kernel's are; the rows above ``top``
-    are one shared row of zeros.  Rows of another length raise ``ValueError``.
+    layer's quotients, truncated as the kernel's are.  Rows of another
+    length raise ``ValueError``.
     """
-    if len(table.rows) < j_active:
-        raise ValueError(
-            f"table holds {len(table.rows)} powers, {j_active} required"
-        )
     length = table.digit_length + 1
-    top = _top(table.rows, j_active)
+    top = _top(table.rows, min(j_active, len(table.rows))) or 1
     if conditions.is_finite_series():
         sources = row_slots(conditions, length - 1)
         targets = row_slots(conditions, length)
-        if any(len(row) != len(sources) for row in table.rows[:j_active]):
+        if any(len(row) != len(sources) for row in table.rows[:top]):
             raise ValueError(f"a finite table's rows hold its {len(sources)}-cell layer")
         nums = _taylor_numerators(table.rows, conditions, sources, targets, top)
         divisor = conditions.base ** top
         new_rows = [
             [s // divisor if s >= 0 else -(-s // divisor) for s in num] for num in nums
         ]
-        live = _top(new_rows, len(new_rows))
-        # the rows above the input's top stay 0: one shared row of the layer
-        new_rows += [[0] * len(targets)] * (j_active - len(new_rows))
-        return PowerSumTable(length, new_rows), live
-    if top == 1:
-        row = _power1_step(table.rows[0], conditions)
-        rest = [[0] * len(row) for _ in range(j_active - 1)]
-        return PowerSumTable(length, [row, *rest]), 1 if any(row) else 0
-
-    order, starts = _grades(conditions)
-    targets = order[: starts[min(length + 1, len(starts) - 1)]]
-    neighbors = _slot_layout(conditions)
-    new_rows = [[0] * conditions.cell_count for _ in range(j_active)]
-    for j, coeffs in expansion_terms(conditions, top):
-        row = new_rows[j - 1]
-        _fill_row(
-            row, row, table.rows[j - 1 :], coeffs, neighbors, targets,
-            repeat(range(len(coeffs))), conditions.base ** top, div_toward_zero,
-        )
+    elif top == 1:
+        new_rows = [_power1_step(table.rows[0], conditions)]
+    else:
+        order, starts = _grades(conditions)
+        targets = order[: starts[min(length + 1, len(starts) - 1)]]
+        neighbors = _slot_layout(conditions)
+        new_rows = [[0] * conditions.cell_count for _ in range(top)]
+        for j, coeffs in expansion_terms(conditions, top):
+            row = new_rows[j - 1]
+            _fill_row(
+                row, row, table.rows[j - 1 :], coeffs, neighbors, targets,
+                repeat(range(len(coeffs))), conditions.base ** top, div_toward_zero,
+            )
     return PowerSumTable(length, new_rows), _top(new_rows, top)
 
 

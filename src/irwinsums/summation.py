@@ -55,9 +55,11 @@ class SumResult:
     condition, ``per_count_sums[k]`` is the sum for exactly k occurrences.
     ``per_cell_sums`` carries the exact-count sum of every occurrence vector
     in mixed-radix slot order, whatever the number of conditions.
-    ``levels[i - 1]`` is ``(total, active_powers)`` for digit length i, the
-    requested cell's running sum as a mantissa at ``plan.working_decimals``.
-    Lengths after the walk's end, up to ``digits_processed``, repeat the last.
+    ``levels[i - 1]`` is ``(total, live)`` for digit length i: the requested
+    cell's running sum as a mantissa at ``plan.working_decimals``, and the
+    powers the table at length i carries on, every power of the plan through
+    the seed and 0 at the walk's end, an all-zero table.  Lengths after the
+    walk's end, up to ``digits_processed``, repeat the last.
     ``plan`` is the :class:`PrecisionPlan` the run was computed under.
     """
 
@@ -112,38 +114,37 @@ def build_plan(conditions: ConditionSet, requested_decimals: int) -> PrecisionPl
 def _walk(
     conditions: ConditionSet, plan: PrecisionPlan
 ) -> Iterator[tuple[int, PowerSumTable, int, list[int]]]:
-    """Yield ``(digit_length, table, j_active, sums)`` from length 1 on.
+    """Yield ``(digit_length, table, live, sums)`` from length 1 on.
 
     Lengths below the seed are enumerated for their power-1 row only; the
     seed is enumerated with every power, and later lengths step the
-    recurrence, dropping the top powers whose rows read exactly 0 down to
-    2 powers (:func:`build_plan`'s plans start from at least 3).
+    recurrence, which carries on only the powers up to the top row that does
+    not read exactly 0, ``live`` (every power of the plan through the seed).
     ``sums`` is one list, updated in place: per cell, the sum of every block
     through ``digit_length``.  A finite series' block at length i holds only
     its layer |k| = i (:func:`~irwinsums.powersums.row_slots`), added through
     the layer's slots, and the series stops at its longest denominator; an
     infinite series' block holds every slot, and only its nonzero cells are
     added.  After the seed, the walk ends at its first all-zero table, which
-    steps only to all-zero tables, so no later length moves a sum or
-    ``j_active``.  Every walk decays to one: the top nonzero row steps with
-    divisor ``base**top`` and no higher terms, reading each cell with total
-    weight at most ``base``, so from power 2 up its sum of magnitudes falls
-    ``base``-fold a length; with power 1 alone a cell steps to
+    steps only to all-zero tables, so no later length moves a sum.  Every
+    walk decays to one: the top nonzero row steps with divisor ``base**top``
+    and no higher terms, reading each cell with total weight at most
+    ``base``, so from power 2 up its sum of magnitudes falls ``base``-fold a
+    length; with power 1 alone a cell steps to
     ``trunc(((base - m) * v + lower neighbours) / base)``, m >= 1 constrained
     digits, so by induction over slot order every cell gets to 0.
     """
     finite = conditions.is_finite_series()
     lengths = range(1, conditions.finite_digit_limit() + 1) if finite else count(1)
     seed_digit = plan.direct_sum_digits
-    j_active = live = plan.max_power
+    live = plan.max_power
     sums = [0] * conditions.cell_count
     for i in lengths:
         if i <= seed_digit:
             powers = plan.max_power if i == seed_digit else 1
             table = direct_sum(conditions, i, powers, plan)
         else:
-            table, live = advance(table, conditions, j_active)
-            j_active = max(live, 2)
+            table, live = advance(table, conditions, live)
         block = table.rows[0]
         if finite:
             for slot, v in zip(row_slots(conditions, i), block):
@@ -151,7 +152,7 @@ def _walk(
         else:
             for slot in compress(range(len(block)), block):
                 sums[slot] += block[slot]
-        yield i, table, j_active, sums
+        yield i, table, live, sums
         if not live:
             return
 
@@ -188,8 +189,8 @@ def _compute(
     # islice refuses a stop above sys.maxsize; every walk ends long before.
     levels, sums = [], [0] * conditions.cell_count
     walked = islice(walk or _walk(conditions, plan), min(last, sys.maxsize))
-    for _, table, j_active, sums in walked:
-        levels.append((sums[-1], j_active))
+    for _, table, live, sums in walked:
+        levels.append((sums[-1], live))
 
     if termination is Termination.CONVERGED:
         # The solved sums include the seed block, which sums already holds.
@@ -293,7 +294,7 @@ def threshold_search(
     # The walk goes on from the length after the last level to the crossing or
     # to its end.  A partial_sum run to any of these lengths gives their totals
     # bit for bit: the seed's power-1 row and dropped powers ignore the limit.
-    later = ((s[-1], j_active) for _, _, j_active, s in walk)
+    later = ((s[-1], live) for _, _, live, s in walk)
     working = plan.working_decimals
     sum_high = fixed_to_decimal(0, working, decimals)
     for digits_high, (running, _) in enumerate(chain(result.levels, later), 1):

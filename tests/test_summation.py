@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import irwinsums.summation as summation
+from irwinsums.cli import main
 from irwinsums.fixedpoint import fixed_to_decimal
 from irwinsums.model import (
     ConditionSet,
@@ -274,7 +275,44 @@ class TestPartialSum:
         assert r.requested_sum == Decimal("22.920676619264150")
         assert r.digits_processed == 1000
         assert len(r.levels) == 495
-        assert r.levels[-1][1] == 2
+        assert r.levels[-1][1] == 0
+
+    def test_a_step_carries_the_live_powers(self, capsys):
+        # after the seed, each length's table holds exactly the powers up to
+        # the previous table's top nonzero row: the previous length's live
+        # count, or the seed's top, which may lie below the plan's last power.
+        # Each level records its table's live count, every power through the
+        # seed.
+        for digits, counts, base, digit_limit in [
+            ([9], [0], 10, 1000),
+            ([9, 0], [3, 1], 10, 400),
+            ([1, 2, 3, 4, 5], [1, 2, 3, 4, 5], 10, 60),
+            ([0], [1], 2, 60),
+            (list(range(10)), [1] * 10, 10, 10),
+        ]:
+            c = ConditionSet.of(digits, counts, base=base)
+            plan = build_plan(c, 15)
+            r = partial_sum(c, digit_limit, 15)
+            walk = summation._walk(c, plan)
+            previous = None
+            for (i, table, live, _), (_, recorded) in zip(walk, r.levels):
+                nonzero = [j for j, row in enumerate(table.rows, 1) if any(row)]
+                top = max(nonzero, default=0)
+                if i > plan.direct_sum_digits:
+                    assert len(table.rows) == previous
+                    assert live == top
+                else:
+                    assert live == plan.max_power
+                assert recorded == live
+                previous = top
+        # no-9 carries power 1 alone at lengths 23..494, and none at 495, its
+        # all-zero table
+        r = partial_sum(ConditionSet.of([9], [0]), 1000, 15)
+        assert [j for _, j in r.levels[21:]] == [2] + [1] * 472 + [0]
+        # -v 4 prints at least 2
+        main(["partial", "--digits", "9", "--counts", "0", "--power", "1000", "-v", "4"])
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.endswith(", active powers = 2")
 
     def test_record_is_bounded_by_the_walks_end(self):
         # one occurrence of every nonzero digit: nothing moves after length 37,
