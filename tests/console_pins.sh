@@ -63,6 +63,9 @@ test "$(irwinsums threshold --digits 0,1,2,3,4,5,6,7,8,9 --counts 1,1,1,1,1,1,1,
 test "$(irwinsums sum --digits 0,1,2,3,4,5,6,7,8,9 --counts 1,1,1,1,1,1,1,1,1,1 --decimals 23 -v 4 | sha256sum | cut -d ' ' -f 1)" = "cb36c32fe459e277ea0b7b6914c84a1de2f02f09804bb1fd9c20382f26618972"
 test "$(irwinsums sum --digits 0,1,2,3,4,5,6,7,8,9 --counts 2,2,2,2,2,2,2,2,2,2 --decimals 24 -v 4 | sha256sum | cut -d ' ' -f 1)" = "1b39806da72e1306abb7a4e7ec934cb7f687bf426f5ae8a23e0fc7fac0aec07a"
 test "$(irwinsums sum --digits 0,1,2,3,4,5,6,7,8,9 --counts 2,2,2,2,2,2,2,2,2,2 --decimals 24 -v 0)" = "0.000054406219429099091465"
+# an odd base whose step splits its digit walk: every cell of a base-7 series
+test "$(irwinsums sum --digits 0,1,2,3,4,5,6 --counts 2,2,2,2,2,2,2 --base 7 --decimals 30 -v 0)" = "0.001941937342506596090276165191"
+test "$(irwinsums sum --digits 0,1,2,3,4,5,6 --counts 2,2,2,2,2,2,2 --base 7 --decimals 30 -v 4 | sha256sum | cut -d ' ' -f 1)" = "916ef0f87f168dcef858699916c4987bc477b6893ca6356c42e07fdfc5e47762"
 # 600 layers over 90 601 cells: each finite table holds only its layer
 test "$(irwinsums sum --digits 0,1 --counts 300,300 --base 2 --decimals 20 -v 0)" = "0.02257890584915444214"
 irwinsums table --row 9 --format json | grep -F '"23.04428708074784831968"'

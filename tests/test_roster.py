@@ -48,6 +48,9 @@ ROSTER = {
     "base2_300x300_d20": (irwin_sum, [0, 1], [300, 300], 2, (20,)),
     "base3_20x20x20_d15": (irwin_sum, [0, 1, 2], [20, 20, 20], 3, (15,)),
     "base3_two2_d50": (irwin_sum, [2], [2], 3, (50,)),
+    # the smallest base whose step splits its digit walk, and an odd base
+    "base6_x3_d30": (irwin_sum, list(range(6)), [3] * 6, 6, (30,)),
+    "base7_x2_d30": (irwin_sum, list(range(7)), [2] * 7, 7, (30,)),
     # long walks through the power-1 regime and past the walk's end
     "nine3zero1_p400": (partial_sum, [9, 0], [3, 1], 10, (400,)),
     "mixed5_p60": (partial_sum, ONE_TO_FIVE, ONE_TO_FIVE, 10, (60,)),
@@ -105,6 +108,10 @@ SHA256 = {
         "43dc3a8192e2841cf7a1b7c666ec4251240d00d093efc33d0d9462949a2a22dd",
     "base3_two2_d50":
         "907111c46a64b199cdd49663f8748c1e12aaec80838223e71fce390869e7001a",
+    "base6_x3_d30":
+        "cb8132a17aa784ecd8cd944b9b6efe400d0f0f462fa2eb40e52b830207b08d39",
+    "base7_x2_d30":
+        "ed0a20eb504ea52e7e585f1337640efa4886c4ba05b0bb8222a62730ec23db23",
     "nine3zero1_p400":
         "b22b9a119c6f7ba09107cea91a4ab706c41819b611f75385c7de0a7b8bb93d0d",
     "mixed5_p60":
