@@ -118,7 +118,7 @@ def finite_sets(draw, max_cells=3000):
 @given(
     finite_sets(),
     st.integers(min_value=0, max_value=12),
-    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=8),
     st.data(),
     st.randoms(use_true_random=False),
 )
