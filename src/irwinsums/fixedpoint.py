@@ -9,8 +9,10 @@ explicit division, and results are bit-reproducible.  Values only become
 
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
+from itertools import repeat
+from typing import Iterable
 
 
 def div_nearest(a: int, b: int) -> int:
@@ -34,12 +36,32 @@ def div_toward_zero(a: int, b: int) -> int:
     return a // b
 
 
+# Wide enough that scaleb never rounds and no exponent overflows.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
 def fixed_to_decimal(mantissa: int, scale: int, decimals: int) -> Decimal:
     """Quantize a scaled integer to ``decimals`` places, half-even."""
+    return fixed_to_decimals((mantissa,), scale, decimals)[0]
+
+
+def fixed_to_decimals(
+    mantissas: Iterable[int], scale: int, decimals: int
+) -> tuple[Decimal, ...]:
+    """Quantize each scaled integer to ``decimals`` places, half-even.
+
+    Each value is its rounded mantissa, an int (so never a negative zero),
+    with exponent ``-decimals``: ``Decimal(q)`` converts an int of any size
+    exactly, without the text that Python caps at 4300 digits.
+    """
     if decimals > scale:
         raise ValueError(f"cannot widen scale {scale} to {decimals} decimals")
-    # Decimal() reads text exactly, whatever the context's precision.
-    return Decimal(f"{div_nearest(mantissa, 10 ** (scale - decimals))}E-{decimals}")
+    unit = 10 ** (scale - decimals)
+    return tuple(map(
+        _EXACT.scaleb,
+        map(Decimal, map(div_nearest, mantissas, repeat(unit))),
+        repeat(-decimals),
+    ))
 
 
 def parse_exact_decimal(text: str) -> tuple[Fraction, int | None]:

@@ -39,6 +39,10 @@ scaled by base**(top - p), a cell's powers p = 1..top are the coefficients of
 a polynomial, and the expansion through digit d is that polynomial's Taylor
 shift by -d.  ``_taylor_numerators`` walks the digits upward and shifts the
 whole layer by -1 between them, one subtraction pass per step of the shift.
+From base 6 on it walks only the lower half, h = ceil(base / 2) digits, and
+gathers each shifted layer twice: into one accumulator for digit b and into
+a second for digit b + h, which it then shifts once by -h and adds to the
+first.
 
 A step fills only the cells its length can reach: an i-digit integer has at
 most i constrained digits, and exactly i when every digit is constrained.
@@ -191,15 +195,24 @@ def _taylor_numerators(
     for power j, read from a neighbour through digit d, is
     ``sum_n (-1)**n * C(j+n-1, n) * d**n * u_{j+n}``: the coefficient of
     t**(j-1) in ``sum_p u_p * (t - d)**(p-1)``, the Taylor shift of u by -d.
-    Every digit is constrained, so walking the digits upward shifts u by -1
+    Every digit is constrained, so a walk over the digits shifts u by -1
     between them, one subtraction pass over the sources per step of the
     shift; each target then adds, per condition c with k_c > 0, the shifted u
     at its neighbour ``slot - stride_c``.  These are the kernel's integers,
     regrouped.
+
+    From base 6 on the walk covers only b = 0..h-1, h = ceil(base / 2): at
+    each b it gathers digit b into ``near`` and digit b + h into ``far``,
+    and ``far`` is then shifted once by -h (``far[k] -= h * far[k+1]``) and
+    added to ``near``.  Gathers act on cells and shifts on powers, so they
+    commute and every numerator is the same integer.  A scaled pass costs
+    about two unit passes, so (h - 1) + 2 passes beat base - 1 exactly when
+    base >= 6; smaller bases walk every digit with h = base and no ``far``.
     """
     if not targets:
         return [[] for _ in range(top)]
     base = conditions.base
+    h = -(-base // 2) if base >= 6 else base
     # u[p - 1] on the sources, then one 0 for the reads of a missing neighbour
     u = [
         [*map(mul, rows[p - 1], repeat(base ** (top - p))), 0]
@@ -212,23 +225,38 @@ def _taylor_numerators(
         for d, n, stride in zip(conditions.digits, conditions.counts, conditions.strides)
         if n
     }
-    nums = [[0] * len(targets) for _ in range(top)]
-    for d in range(max(strides, default=0) + 1):
-        if d:
-            for low in range(top - 1):
-                for k in range(top - 2, low - 1, -1):
-                    u[k] = list(map(sub, u[k], u[k + 1]))
-        if d in strides:
-            # below a target with k_c = 0 lies a borrow from a higher count,
-            # which raises |k| or leaves the table: never a source.  One more
-            # read of the 0 makes even a single target's read a tuple.
-            take = itemgetter(
-                *map(where.get, map(sub, targets, repeat(strides[d])), repeat(blank)),
-                blank,
-            )
-            for k, shifted in enumerate(u):
-                nums[k] = list(map(add, nums[k], take(shifted)))
-    return nums
+    near = [[0] * len(targets) for _ in range(top)]
+    far = [[0] * len(targets) for _ in range(top)] if max(strides) >= h else None
+    for b in range(max(d % h for d in strides) + 1):
+        if b:
+            _shift(u, 1)
+        for nums, d in ((near, b), (far, b + h)):
+            if d in strides:
+                # below a target with k_c = 0 lies a borrow from a higher
+                # count, which raises |k| or leaves the table: never a source.
+                # One more read of the 0 makes even a single target's read a
+                # tuple.
+                take = itemgetter(
+                    *map(where.get, map(sub, targets, repeat(strides[d])), repeat(blank)),
+                    blank,
+                )
+                for k, shifted in enumerate(u):
+                    nums[k] = list(map(add, nums[k], take(shifted)))
+    if far is not None:
+        del u
+        _shift(far, h)
+        for k in reversed(range(top)):
+            near[k] = list(map(add, near[k], far.pop()))
+    return near
+
+
+def _shift(u: list[list[int]], d: int) -> None:
+    """Taylor-shift, in place, the polynomials whose coefficients of t**k are
+    ``u[k]`` (one per cell) by -d: one triangular pass of subtractions."""
+    for low in range(len(u) - 1):
+        for k in range(len(u) - 2, low - 1, -1):
+            below = u[k + 1] if d == 1 else map(mul, u[k + 1], repeat(d))
+            u[k] = list(map(sub, u[k], below))
 
 
 def _top(rows: list[list[int]], j: int) -> int:
@@ -269,11 +297,10 @@ def advance(
         targets = row_slots(conditions, length)
         if any(len(row) != len(sources) for row in table.rows[:top]):
             raise ValueError(f"a finite table's rows hold its {len(sources)}-cell layer")
-        nums = _taylor_numerators(table.rows, conditions, sources, targets, top)
+        new_rows = _taylor_numerators(table.rows, conditions, sources, targets, top)
         divisor = conditions.base ** top
-        new_rows = [
-            [s // divisor if s >= 0 else -(-s // divisor) for s in num] for num in nums
-        ]
+        for k, num in enumerate(new_rows):
+            new_rows[k] = [s // divisor if s >= 0 else -(-s // divisor) for s in num]
     elif top == 1:
         new_rows = [_power1_step(table.rows[0], conditions)]
     else:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import chain, compress, count, islice
 from typing import Iterator, Optional, Union
 
-from .fixedpoint import fixed_to_decimal, parse_exact_decimal
+from .fixedpoint import fixed_to_decimal, fixed_to_decimals, parse_exact_decimal
 from .model import (
     ConditionSet,
     InsufficientAccuracy,
@@ -198,7 +198,7 @@ def _compute(
         sums = [total + z - s for total, z, s in zip(sums, tail, table.rows[0])]
 
     decimals, working = plan.requested_decimals, plan.working_decimals
-    per_cell = tuple(fixed_to_decimal(v, working, decimals) for v in sums)
+    per_cell = fixed_to_decimals(sums, working, decimals)
     return SumResult(
         conditions=conditions,
         decimals=decimals,
