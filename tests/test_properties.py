@@ -7,6 +7,7 @@ import math
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from irwinsums.fixedpoint import (
     div_nearest,
     div_toward_zero,
     fixed_to_decimal,
+    fixed_to_decimals,
     format_grouped,
     format_plain,
     parse_exact_decimal,
@@ -325,3 +327,58 @@ def test_fixed_to_decimal_half_even():
         assert got.as_tuple() == want.as_tuple(), (mantissa, scale, decimals)
     # the rounded mantissa is an int, which has no negative zero
     assert fixed_to_decimal(-1, 3, 2).as_tuple() == Decimal("0.00").as_tuple()
+
+
+@given(
+    st.lists(st.integers(min_value=-(10 ** 90), max_value=10 ** 90), max_size=6),
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=0, max_value=20),
+)
+@example([0, 1, -1], 24, 0)
+@example([0], 0, 0)
+@settings(max_examples=200)
+def test_quantizing_matches_the_text_path(mantissas, decimals, spare):
+    """Each value is the rounded mantissa read as text with exponent
+    -decimals, digit for digit, alone or in a sequence."""
+    scale = decimals + spare
+    unit = 10 ** (scale - decimals)
+    got = fixed_to_decimals(mantissas, scale, decimals)
+    assert isinstance(got, tuple) and len(got) == len(mantissas)
+    for mantissa, value in zip(mantissas, got):
+        want = Decimal(f"{div_nearest(mantissa, unit)}E-{decimals}")
+        for form in (value, fixed_to_decimal(mantissa, scale, decimals)):
+            assert str(form) == str(want)
+            assert form.as_tuple() == want.as_tuple()
+
+
+@given(
+    st.integers(min_value=-(10 ** 40), max_value=10 ** 40),
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=1, max_value=20),
+)
+def test_quantizing_ties_go_to_even(q, decimals, spare):
+    unit = 10 ** spare
+    tie = q * unit + unit // 2
+    even = q + (q & 1)
+    pair = fixed_to_decimals([tie, -tie], decimals + spare, decimals)
+    assert [v.as_tuple() for v in pair] == [
+        Decimal(f"{even}E-{decimals}").as_tuple(),
+        Decimal(f"{-even}E-{decimals}").as_tuple(),
+    ]
+    assert fixed_to_decimal(tie, decimals + spare, decimals) == pair[0]
+
+
+def test_quantizing_cannot_widen_the_scale():
+    with pytest.raises(ValueError, match="cannot widen"):
+        fixed_to_decimal(5, 3, 4)
+    with pytest.raises(ValueError, match="cannot widen"):
+        fixed_to_decimals([5, 6], 3, 4)
+
+
+def test_quantizing_past_the_int_text_limit():
+    """Python refuses to turn an int of more than 4300 digits into text."""
+    value = fixed_to_decimal(3 * 10 ** 4400 + 7, 4408, 4400)
+    assert value.as_tuple() == (0, (3,) + (0,) * 4392, -4400)
+    assert value == Decimal("3E-8")
+    (negative,) = fixed_to_decimals([-(3 * 10 ** 4400) - 7], 4408, 4400)
+    assert negative.as_tuple() == (1, (3,) + (0,) * 4392, -4400)
