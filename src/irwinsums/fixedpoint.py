@@ -40,9 +40,19 @@ def div_toward_zero(a: int, b: int) -> int:
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
+def _unit(scale: int, decimals: int) -> int:
+    if decimals > scale:
+        raise ValueError(f"cannot widen scale {scale} to {decimals} decimals")
+    return 10 ** (scale - decimals)
+
+
 def fixed_to_decimal(mantissa: int, scale: int, decimals: int) -> Decimal:
-    """Quantize a scaled integer to ``decimals`` places, half-even."""
-    return fixed_to_decimals((mantissa,), scale, decimals)[0]
+    """Quantize a scaled integer to ``decimals`` places, half-even.
+
+    The one-value form of :func:`fixed_to_decimals`, without its iterators,
+    which would double the cost of a call.
+    """
+    return _EXACT.scaleb(Decimal(div_nearest(mantissa, _unit(scale, decimals))), -decimals)
 
 
 def fixed_to_decimals(
@@ -54,9 +64,7 @@ def fixed_to_decimals(
     with exponent ``-decimals``: ``Decimal(q)`` converts an int of any size
     exactly, without the text that Python caps at 4300 digits.
     """
-    if decimals > scale:
-        raise ValueError(f"cannot widen scale {scale} to {decimals} decimals")
-    unit = 10 ** (scale - decimals)
+    unit = _unit(scale, decimals)
     return tuple(map(
         _EXACT.scaleb,
         map(Decimal, map(div_nearest, mantissas, repeat(unit))),
