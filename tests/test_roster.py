@@ -48,9 +48,11 @@ ROSTER = {
     "base2_300x300_d20": (irwin_sum, [0, 1], [300, 300], 2, (20,)),
     "base3_20x20x20_d15": (irwin_sum, [0, 1, 2], [20, 20, 20], 3, (15,)),
     "base3_two2_d50": (irwin_sum, [2], [2], 3, (50,)),
-    # the smallest base whose step splits its digit walk, and an odd base
+    # finite series over every digit in bases 6-9, even and odd
     "base6_x3_d30": (irwin_sum, list(range(6)), [3] * 6, 6, (30,)),
     "base7_x2_d30": (irwin_sum, list(range(7)), [2] * 7, 7, (30,)),
+    "base8_x2_d30": (irwin_sum, list(range(8)), [2] * 8, 8, (30,)),
+    "base9_x1_d30": (irwin_sum, list(range(9)), [1] * 9, 9, (30,)),
     # long walks through the power-1 regime and past the walk's end
     "nine3zero1_p400": (partial_sum, [9, 0], [3, 1], 10, (400,)),
     "mixed5_p60": (partial_sum, ONE_TO_FIVE, ONE_TO_FIVE, 10, (60,)),
@@ -112,6 +114,10 @@ SHA256 = {
         "cb8132a17aa784ecd8cd944b9b6efe400d0f0f462fa2eb40e52b830207b08d39",
     "base7_x2_d30":
         "ed0a20eb504ea52e7e585f1337640efa4886c4ba05b0bb8222a62730ec23db23",
+    "base8_x2_d30":
+        "29e73424017718e6a4a73fc5552bb3f743f93a5f89a4374f4314ded268f954dc",
+    "base9_x1_d30":
+        "200eac7bab512a698814ce8d407e4f943f0cc9ea74c8e4f36db3d1e8a2231c61",
     "nine3zero1_p400":
         "b22b9a119c6f7ba09107cea91a4ab706c41819b611f75385c7de0a7b8bb93d0d",
     "mixed5_p60":
