@@ -399,9 +399,10 @@ class TestSkippedTermsAreExactZeros:
             ([1, 0], [4, 3], 2),
             ([2, 0, 1], [2, 2, 2], 3),
             (list(range(8)), [3, 1, 0, 2, 1, 1, 2, 3], 8),
-            # bases 6-10, whose digit walk splits at h = ceil(base / 2): odd
-            # bases, where the far half is one digit short, a set whose far
-            # digits all have count 0, and one whose near digits all do
+            # bases 6-10; from base 8 on the digit walk splits at
+            # h = ceil(base / 2): odd bases, where the far half is one digit
+            # short, a set whose far digits all have count 0, and one whose
+            # near digits all do
             ([5, 3, 0, 4, 1, 2], [1, 2, 1, 1, 2, 1], 6),
             (list(range(7)), [2, 1, 1, 0, 1, 2, 1], 7),
             ([7, 0, 6, 1, 5, 2, 4, 3], [1, 1, 2, 0, 1, 1, 2, 1], 8),
