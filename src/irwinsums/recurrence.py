@@ -209,7 +209,7 @@ def _taylor_numerators(
     base - h unit passes and costs the scaled pass and the merge, measured
     at 1.7 to 3.4 unit passes, more as the counts grow.  It pays where
     base - h >= 4, from base 8 on; in bases 6 and 7 it saves 3 and measured
-    from 13 % faster to 1 % slower.  Smaller bases walk every digit with
+    from 12 % faster to 1 % slower.  Smaller bases walk every digit with
     h = base and no ``far``.
     """
     if not targets:
